@@ -16,13 +16,6 @@
 //! * `distinct_weights` / `weight_lookups` / `weight_insertions` — the
 //!   weight-table pressure of one build (`ComplexTable` statistics).
 //!
-//! A `parallel` group additionally builds one dense random state at 1, 2,
-//! and 4 build threads (`BuildOptions::build_threads`) and records the
-//! mean build time and speedup per thread count — every parallel build is
-//! asserted raw-bit identical to the sequential one. Speedups are
-//! recorded, never asserted: this binary must stay green on single-core
-//! runners.
-//!
 //! Flags:
 //! * `--smoke`    — one iteration per workload (CI keep-alive mode);
 //! * `--runs N`   — iterations per workload (default 20);
@@ -35,9 +28,6 @@ use mdq_bench::{dims4, flag_value, sparse_bench_dims, sparse_workloads, Mean};
 use mdq_core::{prepare_sparse, PrepareOptions};
 use mdq_dd::{BuildOptions, StateDd};
 use mdq_num::radix::Dims;
-use mdq_states::{random_state, RandomKind};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 struct WorkloadResult {
     name: String,
@@ -101,78 +91,9 @@ fn main() {
         }
     }
 
-    let parallel = run_parallel_group(smoke, runs);
-
-    let json = emit_json(runs, &results, &parallel);
+    let json = emit_json(runs, &results);
     std::fs::write(out_path, json).expect("writing benchmark JSON");
     println!("\nJSON written to {out_path}");
-}
-
-/// One dense random build at each thread count, raw-bit checked against
-/// the single-thread result.
-struct ParallelResult {
-    threads: usize,
-    dims: String,
-    space: usize,
-    build_ns: f64,
-    speedup: f64,
-}
-
-fn run_parallel_group(smoke: bool, runs: u64) -> Vec<ParallelResult> {
-    // Smoke keeps the register small; the full run uses a ~20k-amplitude
-    // register so the split tasks amortize their thread-handout cost.
-    let dims = if smoke {
-        dims4()
-    } else {
-        Dims::new(vec![3, 4, 3, 4, 3, 4, 3, 4]).expect("valid register")
-    };
-    let mut rng = StdRng::seed_from_u64(0x9A2B);
-    let target = random_state(&dims, RandomKind::ReImUniform, &mut rng);
-    let want = StateDd::from_amplitudes(&dims, &target, BuildOptions::default())
-        .expect("sequential reference builds")
-        .to_amplitudes();
-
-    println!(
-        "\nparallel dense build on {dims} ({} amplitudes):",
-        want.len()
-    );
-    let mut results = Vec::new();
-    let mut baseline_ns = 0.0;
-    for threads in [1usize, 2, 4] {
-        let opts = BuildOptions::default().build_threads(threads);
-        let mut mean = Mean::default();
-        for _ in 0..runs {
-            let t = Instant::now();
-            let built = StateDd::from_amplitudes(&dims, &target, opts).expect("diagram builds");
-            mean.add(t.elapsed().as_nanos() as f64);
-            std::hint::black_box(built);
-        }
-        let got = StateDd::from_amplitudes(&dims, &target, opts)
-            .expect("diagram builds")
-            .to_amplitudes();
-        assert!(
-            want.iter().zip(&got).all(|(a, b)| {
-                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
-            }),
-            "{threads}-thread build must be raw-bit identical to sequential"
-        );
-        if threads == 1 {
-            baseline_ns = mean.value();
-        }
-        let speedup = baseline_ns / mean.value().max(1.0);
-        println!(
-            "  {threads} thread(s): {:>12.0} ns/build   speedup {speedup:.2}x",
-            mean.value()
-        );
-        results.push(ParallelResult {
-            threads,
-            dims: dims.to_string(),
-            space: want.len(),
-            build_ns: mean.value(),
-            speedup,
-        });
-    }
-    results
 }
 
 fn run_workload(
@@ -228,7 +149,7 @@ fn run_workload(
     }
 }
 
-fn emit_json(runs: u64, results: &[WorkloadResult], parallel: &[ParallelResult]) -> String {
+fn emit_json(runs: u64, results: &[WorkloadResult]) -> String {
     let mut out = String::from("{\n");
     let _ = writeln!(out, "  \"schema\": \"mdq-dd-bench-v1\",");
     let _ = writeln!(out, "  \"runs\": {runs},");
@@ -252,17 +173,6 @@ fn emit_json(runs: u64, results: &[WorkloadResult], parallel: &[ParallelResult])
             r.distinct_weights,
             r.weight_lookups,
             r.weight_insertions
-        );
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"parallel\": [\n");
-    for (i, r) in parallel.iter().enumerate() {
-        let comma = if i + 1 == parallel.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "    {{\"threads\": {}, \"dims\": \"{}\", \"space\": {}, \
-             \"build_ns\": {:.0}, \"speedup\": {:.2}, \"bit_identical\": true}}{comma}",
-            r.threads, r.dims, r.space, r.build_ns, r.speedup
         );
     }
     out.push_str("  ]\n}\n");

@@ -50,18 +50,6 @@
 //! starved job's worst-case wait while keeping the small-job p99 within
 //! 2× of the no-aging baseline.
 //!
-//! With `--parbuild`, an intra-job parallelism section measures what
-//! `BuildOptions::build_threads` buys a single large job: one dense random
-//! state is built directly at 1/2/4 threads (best-of-N wall time, every
-//! parallel result asserted raw-bit identical to the sequential build),
-//! and a stream of large jobs is served by a one-worker `EngineService`
-//! with and without `with_intra_job_threads`, recording the large-job p99
-//! serving latency on both sides plus the `parallel_builds` counter.
-//! Outside `--smoke`, **and only when the host exposes ≥ 4 cores**, the
-//! run asserts the 4-thread build is ≥ 1.8× the sequential one; on
-//! smaller hosts (including the 1-core container this repo grows in) the
-//! speedups are recorded, never asserted.
-//!
 //! With `--router`, a sharded-serving section measures what the
 //! consistent-hash `mdq-router` front-end costs and buys: the mixed
 //! workload is served once by a single direct `EngineService` and once
@@ -81,7 +69,6 @@
 //! * `--verify`    — additionally run the verification + admission section;
 //! * `--warmstart` — additionally run the snapshot warm-start section;
 //! * `--fairness`  — additionally run the aging/starvation section;
-//! * `--parbuild`  — additionally run the intra-job parallelism section;
 //! * `--router`    — additionally run the sharded-serving section;
 //! * `--transport` — additionally run the network-serving section: the
 //!   mixed workload round-trips through a `WireServer` over a local
@@ -143,7 +130,6 @@ fn main() {
     let verify = args.iter().any(|a| a == "--verify");
     let warmstart = args.iter().any(|a| a == "--warmstart");
     let fairness = args.iter().any(|a| a == "--fairness");
-    let parbuild = args.iter().any(|a| a == "--parbuild");
     let router = args.iter().any(|a| a == "--router");
     let transport = args.iter().any(|a| a == "--transport");
     let jobs: usize = if smoke {
@@ -262,7 +248,7 @@ fn main() {
         );
     }
     out.push_str("  ],\n");
-    let comma = if parbuild || warmstart || streaming || verify || fairness || router || transport {
+    let comma = if warmstart || streaming || verify || fairness || router || transport {
         ","
     } else {
         ""
@@ -273,15 +259,6 @@ fn main() {
          \"warm_jobs_per_sec\": {warm_jobs_per_sec:.1}, \"bit_identical\": {identical}}}{comma}",
         stats.cache.hits, stats.cache.misses, stats.cache.entries, stats.cache.evictions
     );
-
-    if parbuild {
-        let comma = if warmstart || streaming || verify || fairness || router || transport {
-            ","
-        } else {
-            ""
-        };
-        out.push_str(&run_parbuild(smoke, comma));
-    }
 
     if warmstart {
         let workers = *worker_counts.last().unwrap();
@@ -661,139 +638,6 @@ fn main() {
     out.push_str("}\n");
     std::fs::write(out_path, out).expect("writing benchmark JSON");
     println!("JSON written to {out_path}");
-}
-
-/// The `--parbuild` section: direct 1/2/4-thread build times on one large
-/// dense state (raw-bit checked against sequential), then large-job p99
-/// serving latency through a one-worker service with and without
-/// intra-job threads. Returns the section's JSON fragment, terminated by
-/// `comma`.
-fn run_parbuild(smoke: bool, comma: &str) -> String {
-    use mdq_dd::{BuildOptions, StateDd};
-
-    let cores = std::thread::available_parallelism().map_or(1, usize::from);
-    // Smoke keeps the state small; the full run uses ~20k amplitudes so
-    // the split tasks dominate the thread-handout overhead.
-    let build_dims = if smoke {
-        dims4()
-    } else {
-        Dims::new(vec![3, 4, 3, 4, 3, 4, 3, 4]).expect("valid register")
-    };
-    let mut rng = StdRng::seed_from_u64(0x9A2B);
-    let target = random_state(&build_dims, RandomKind::ReImUniform, &mut rng);
-    let want = StateDd::from_amplitudes(&build_dims, &target, BuildOptions::default())
-        .expect("sequential reference builds")
-        .to_amplitudes();
-    println!(
-        "\nparbuild section: {} amplitudes on {build_dims}, {} core(s) visible",
-        want.len(),
-        cores
-    );
-
-    let reps = if smoke { 2 } else { 7 };
-    let mut build_rows = Vec::new();
-    let mut baseline = Duration::MAX;
-    for threads in [1usize, 2, 4] {
-        let opts = BuildOptions::default().build_threads(threads);
-        let mut best = Duration::MAX;
-        for _ in 0..reps {
-            let t = Instant::now();
-            let built =
-                StateDd::from_amplitudes(&build_dims, &target, opts).expect("diagram builds");
-            best = best.min(t.elapsed());
-            std::hint::black_box(built);
-        }
-        let got = StateDd::from_amplitudes(&build_dims, &target, opts)
-            .expect("diagram builds")
-            .to_amplitudes();
-        assert!(
-            want.iter().zip(&got).all(|(a, b)| {
-                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits()
-            }),
-            "{threads}-thread build must be raw-bit identical to sequential"
-        );
-        if threads == 1 {
-            baseline = best;
-        }
-        let speedup = baseline.as_secs_f64() / best.as_secs_f64().max(f64::MIN_POSITIVE);
-        println!(
-            "{:<28} {:>12.0} µs/build   speedup {speedup:.2}x",
-            format!("build, {threads} thread(s)"),
-            best.as_secs_f64() * 1e6
-        );
-        build_rows.push((threads, best, speedup));
-    }
-    let four_thread_speedup = build_rows.last().unwrap().2;
-    if !smoke && cores >= 4 {
-        assert!(
-            four_thread_speedup >= 1.8,
-            "on a {cores}-core host the 4-thread build must reach at least \
-             1.8x the sequential build (measured {four_thread_speedup:.2}x)"
-        );
-    }
-
-    // Large-job serving latency: the same stream of large dense jobs
-    // through one worker, sequential builds vs. an intra-job grant of 4.
-    let large_jobs = if smoke { 4 } else { 12 };
-    let run_stream = |threads: usize| -> (f64, u64) {
-        let mut config = EngineConfig::default().with_workers(1).without_cache();
-        if threads > 1 {
-            config = config.with_intra_job_threads(1, threads);
-        }
-        let service = EngineService::new(config);
-        let requests: Vec<PrepareRequest> = (0..large_jobs)
-            .map(|job| {
-                let mut rng = StdRng::seed_from_u64(0x1A26E + job as u64);
-                PrepareRequest::dense(
-                    build_dims.clone(),
-                    random_state(&build_dims, RandomKind::ReImUniform, &mut rng),
-                    PrepareOptions::exact().without_zero_subtrees(),
-                )
-            })
-            .collect();
-        let mut latencies: Vec<Duration> = service
-            .submit_batch(requests)
-            .into_iter()
-            .map(|handle| handle.wait().expect("large job succeeds").elapsed)
-            .collect();
-        latencies.sort_unstable();
-        let parallel_builds = service.stats().parallel_builds;
-        service.shutdown();
-        (percentile_us(&latencies, 0.99), parallel_builds)
-    };
-    let (sequential_p99_us, _) = run_stream(1);
-    let (parallel_p99_us, parallel_builds) = run_stream(4);
-    println!(
-        "{:<28} p99 {:>9.0} µs\n{:<28} p99 {:>9.0} µs   ({parallel_builds}/{large_jobs} builds \
-         went parallel)",
-        "large jobs, sequential", sequential_p99_us, "large jobs, intra-job 4", parallel_p99_us
-    );
-
-    let mut out = String::from("  \"parbuild\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"space\": {}, \"visible_cores\": {cores}, \"best_of\": {reps},",
-        want.len()
-    );
-    out.push_str("    \"build\": [\n");
-    for (i, (threads, best, speedup)) in build_rows.iter().enumerate() {
-        let comma = if i + 1 == build_rows.len() { "" } else { "," };
-        let _ = writeln!(
-            out,
-            "      {{\"threads\": {threads}, \"build_us\": {:.1}, \"speedup\": {speedup:.2}, \
-             \"bit_identical\": true}}{comma}",
-            best.as_secs_f64() * 1e6
-        );
-    }
-    out.push_str("    ],\n");
-    let _ = writeln!(
-        out,
-        "    \"large_jobs\": {large_jobs}, \"large_p99_sequential_us\": \
-         {sequential_p99_us:.1}, \"large_p99_intra_job_us\": {parallel_p99_us:.1}, \
-         \"parallel_builds\": {parallel_builds}"
-    );
-    let _ = writeln!(out, "  }}{comma}");
-    out
 }
 
 /// The `--router` section: the mixed workload served directly vs. through

@@ -16,9 +16,7 @@ use std::fmt;
 use std::time::{Duration, Instant};
 
 use mdq_circuit::Circuit;
-use mdq_dd::{
-    ApplyError, ApproxError, BuildError, BuildOptions, ComputeCache, DdArena, ScratchPool, StateDd,
-};
+use mdq_dd::{ApplyError, ApproxError, BuildError, BuildOptions, ComputeCache, DdArena, StateDd};
 use mdq_num::radix::Dims;
 use mdq_num::{Complex, ComplexTableStats, Tolerance};
 
@@ -436,11 +434,6 @@ pub struct Preparer {
     cache: ComputeCache,
     /// Resource cap applied to every build (service deployments).
     node_limit: Option<usize>,
-    /// Worker threads the dense/sparse builders may fan out over
-    /// (0 and 1 both mean the sequential path).
-    build_threads: usize,
-    /// Reusable thread-local scratch arenas for multi-threaded builds.
-    par_scratch: ScratchPool,
 }
 
 impl Preparer {
@@ -465,30 +458,6 @@ impl Preparer {
         self.node_limit
     }
 
-    /// Fans every build this preparer runs out over `threads` worker
-    /// threads (1 = today's exact sequential path). The result is
-    /// bit-identical to the sequential build — see
-    /// [`BuildOptions::build_threads`]. The value is honoured literally;
-    /// clamping to the machine and to job size is the serving layer's
-    /// policy (the engine grants threads per job at admission cost).
-    #[must_use]
-    pub fn with_build_threads(mut self, threads: usize) -> Self {
-        self.set_build_threads(threads);
-        self
-    }
-
-    /// Re-targets the build thread count between jobs — the engine's
-    /// per-job grant path.
-    pub fn set_build_threads(&mut self, threads: usize) {
-        self.build_threads = threads.max(1);
-    }
-
-    /// The configured build thread count (at least 1).
-    #[must_use]
-    pub fn build_threads(&self) -> usize {
-        self.build_threads.max(1)
-    }
-
     /// Whether this preparer currently holds a reclaimed scratch arena —
     /// i.e. whether the *next* pipeline run will start on warmed tables
     /// instead of allocating fresh ones. Long-lived service workers use
@@ -507,9 +476,7 @@ impl Preparer {
     }
 
     fn build_options(&self, opts: &PrepareOptions) -> BuildOptions {
-        let mut build = BuildOptions::default()
-            .tolerance(opts.tolerance)
-            .build_threads(self.build_threads());
+        let mut build = BuildOptions::default().tolerance(opts.tolerance);
         if let Some(limit) = self.node_limit {
             build = build.node_limit(limit);
         }
@@ -553,13 +520,7 @@ impl Preparer {
         // threading the arena through error returns.
         StateDd::validate_amplitudes(dims, amplitudes, build_opts)?;
         let arena = self.take_arena(&build_opts);
-        let initial = StateDd::from_amplitudes_in_pooled(
-            dims,
-            amplitudes,
-            build_opts,
-            arena,
-            &mut self.par_scratch,
-        )?;
+        let initial = StateDd::from_amplitudes_in(dims, amplitudes, build_opts, arena)?;
         run_pipeline(initial, opts, t0)
     }
 
@@ -581,13 +542,7 @@ impl Preparer {
         let build_opts = self.build_options(&opts);
         StateDd::validate_sparse(dims, entries, build_opts)?;
         let arena = self.take_arena(&build_opts);
-        let initial = StateDd::from_sparse_in_pooled(
-            dims,
-            entries,
-            build_opts,
-            arena,
-            &mut self.par_scratch,
-        )?;
+        let initial = StateDd::from_sparse_in(dims, entries, build_opts, arena)?;
         run_pipeline(initial, opts, t0)
     }
 

@@ -3,13 +3,13 @@
 //! A [`DdArena`] owns the node storage of a diagram together with the two
 //! canonicalization indices that make diagrams *reduced by construction*:
 //!
-//! * a tolerance-bucketed [`ShardedComplexTable`] assigning every edge
-//!   weight a canonical id, and
-//! * a [`ShardedUniqueTable`] hash-consing nodes by their structural
-//!   signature (see the
-//!   [`unique`](crate::unique) module). Both default to a single shard —
-//!   bit-exactly the plain tables — and fan out only when a build opts
-//!   into [`with_table_shards`](DdArena::with_table_shards).
+//! * one tolerance-bucketed [`ComplexTable`] assigning every edge weight a
+//!   canonical id, and
+//! * one [`UniqueTable`] hash-consing nodes by their structural signature
+//!   (see the [`unique`](crate::unique) module).
+//!
+//! Both are plain single-map tables owned by the arena; every build,
+//! reduction and circuit application runs sequentially on one arena.
 //!
 //! [`DdArena::intern`] applies the reduction rules of the paper's §4.3 on
 //! the fly: weights within the tolerance of zero become explicit zero edges
@@ -29,10 +29,10 @@
 use std::collections::HashMap;
 use std::fmt;
 
-use mdq_num::{Complex, ComplexTableStats, ShardedComplexTable, Tolerance};
+use mdq_num::{Complex, ComplexTable, ComplexTableStats, Tolerance};
 
 use crate::node::{Edge, Node, NodeId, NodeRef};
-use crate::unique::{NodeSignature, ShardedUniqueTable};
+use crate::unique::{NodeSignature, UniqueTable};
 
 /// Error raised when an arena cannot hold another node.
 ///
@@ -67,8 +67,8 @@ pub struct DdArena {
     tolerance: Tolerance,
     node_limit: usize,
     nodes: Vec<Node>,
-    unique: ShardedUniqueTable,
-    weights: ShardedComplexTable,
+    unique: UniqueTable,
+    weights: ComplexTable,
 }
 
 impl DdArena {
@@ -83,29 +83,13 @@ impl DdArena {
     /// a resource cap for service deployments.
     #[must_use]
     pub fn with_node_limit(tolerance: Tolerance, node_limit: usize) -> Self {
-        Self::with_table_shards(tolerance, node_limit, 1)
-    }
-
-    /// Creates an empty arena whose unique and weight tables are fanned out
-    /// over `table_shards` fingerprint-selected shards (rounded up to a
-    /// power of two). One shard — the default everywhere — is bit-for-bit
-    /// the unsharded behaviour; more shards spread hash-consing traffic for
-    /// the parallel-build merge phase and large circuit applications.
-    #[must_use]
-    pub fn with_table_shards(tolerance: Tolerance, node_limit: usize, table_shards: usize) -> Self {
         DdArena {
             tolerance,
             node_limit: node_limit.min(u32::MAX as usize),
             nodes: Vec::new(),
-            unique: ShardedUniqueTable::new(table_shards),
-            weights: ShardedComplexTable::new(tolerance, table_shards),
+            unique: UniqueTable::new(),
+            weights: ComplexTable::new(tolerance),
         }
-    }
-
-    /// Number of shards the canonicalization tables are fanned out over.
-    #[must_use]
-    pub fn table_shards(&self) -> usize {
-        self.unique.shard_count()
     }
 
     /// The tolerance used for zero tests and weight canonicalization.
@@ -155,10 +139,10 @@ impl DdArena {
     }
 
     /// Usage counters of the weight table — the pressure this arena's
-    /// workloads put on the canonical complex store, aggregated across all
-    /// table shards. Counters are cumulative across [`DdArena::reset`] (and
-    /// across shard-count changes), so a recycled per-worker arena reports
-    /// the traffic of every job it served.
+    /// workloads put on the canonical complex store. Counters are
+    /// cumulative across [`DdArena::reset`] and [`DdArena::reset_for`], so
+    /// a recycled per-worker arena reports the traffic of every job it
+    /// served.
     #[must_use]
     pub fn weight_stats(&self) -> ComplexTableStats {
         self.weights.stats()
@@ -179,29 +163,13 @@ impl DdArena {
 
     /// [`DdArena::reset`] plus reconfiguration of the tolerance and node
     /// limit, for recycling an arena into a job with different numerical
-    /// settings. The table shard count is kept as-is; see
-    /// [`DdArena::reset_for_tables`] to change it too.
+    /// settings.
     pub fn reset_for(&mut self, tolerance: Tolerance, node_limit: usize) {
-        let shards = self.table_shards();
-        self.reset_for_tables(tolerance, node_limit, shards);
-    }
-
-    /// [`DdArena::reset_for`] plus reconfiguration of the table shard count.
-    /// When the count changes, the shard vectors of both canonicalization
-    /// indices are rebuilt at the new width (so a recycled per-worker arena
-    /// can move between sequential and parallel jobs without leaking stale
-    /// shards); when it doesn't, they are cleared in place keeping capacity.
-    pub fn reset_for_tables(
-        &mut self,
-        tolerance: Tolerance,
-        node_limit: usize,
-        table_shards: usize,
-    ) {
         self.tolerance = tolerance;
         self.node_limit = node_limit.min(u32::MAX as usize);
         self.nodes.clear();
-        self.unique.configure(table_shards);
-        self.weights.configure(tolerance, table_shards);
+        self.unique.clear();
+        self.weights.reset(tolerance);
     }
 
     fn push(&mut self, node: Node) -> Result<NodeId, ArenaOverflow> {
@@ -550,47 +518,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn reset_for_tables_resizes_shards_without_leaking() {
-        let mut arena = DdArena::with_table_shards(tol(), 100, 4);
-        assert_eq!(arena.table_shards(), 4);
-        arena
-            .intern(0, vec![Edge::new(c(0.7), NodeRef::Terminal), Edge::ZERO])
-            .unwrap();
-        assert!(arena.distinct_weights() > 0);
-        // Shrink back to one shard: everything cleared, counters cumulative.
-        arena.reset_for_tables(tol(), 100, 1);
-        assert_eq!(arena.table_shards(), 1);
-        assert!(arena.is_empty());
-        assert_eq!(arena.distinct_weights(), 0);
-        assert!(arena.weight_stats().lookups >= 2);
-        // Fresh id space after the resize.
-        let r = arena
-            .intern(0, vec![Edge::new(c(0.3), NodeRef::Terminal), Edge::ZERO])
-            .unwrap();
-        assert_eq!(r.id().unwrap().index(), 0);
-        // Same-count reset clears in place.
-        arena.reset_for_tables(tol(), 100, 1);
-        assert!(arena.is_empty());
-        assert_eq!(arena.distinct_weights(), 0);
-    }
-
-    #[test]
-    fn sharded_arena_interning_still_shares_within_tolerance() {
-        let mut arena = DdArena::with_table_shards(tol(), 1000, 8);
-        let a = arena
-            .intern(0, vec![Edge::new(c(0.6), NodeRef::Terminal), Edge::ZERO])
-            .unwrap();
-        let b = arena
-            .intern(
-                0,
-                vec![Edge::new(c(0.6 + 1e-12), NodeRef::Terminal), Edge::ZERO],
-            )
-            .unwrap();
-        assert_eq!(a, b);
-        assert_eq!(arena.len(), 1);
     }
 
     #[test]

@@ -116,21 +116,17 @@ pub struct BuildOptions {
     keep_zero_subtrees: bool,
     tolerance: Tolerance,
     node_limit: Option<usize>,
-    build_threads: usize,
-    table_shards: Option<usize>,
 }
 
 impl BuildOptions {
     /// Default options: zero subtrees pruned, default tolerance, no node
-    /// cap beyond the `u32` index space, single-threaded build.
+    /// cap beyond the `u32` index space.
     #[must_use]
     pub fn new() -> Self {
         Self {
             keep_zero_subtrees: false,
             tolerance: Tolerance::default(),
             node_limit: None,
-            build_threads: 1,
-            table_shards: None,
         }
     }
 
@@ -181,61 +177,9 @@ impl BuildOptions {
         self.node_limit
     }
 
-    /// Number of worker threads the dense/sparse builders may fan out over.
-    ///
-    /// `1` (the default) is exactly the sequential code path. More threads
-    /// split the amplitude range at the top levels into independent subtree
-    /// tasks, build each in a thread-local scratch arena, and re-intern the
-    /// results deterministically — `to_amplitudes` of the result is
-    /// bit-identical to the sequential build (see the [`par`](crate::par)
-    /// module). The value is honoured literally; clamping to the machine
-    /// (and to job size) is the caller's policy — the engine clamps at
-    /// grant time.
-    #[must_use]
-    pub fn build_threads(mut self, threads: usize) -> Self {
-        self.build_threads = threads.max(1);
-        self
-    }
-
-    /// Returns the configured build thread count (at least 1).
-    #[must_use]
-    pub fn build_threads_value(&self) -> usize {
-        self.build_threads.max(1)
-    }
-
-    /// Overrides the number of fingerprint-selected shards the arena's
-    /// unique/weight tables are fanned out over. By default the shard count
-    /// is derived from [`build_threads`](Self::build_threads): 1 for a
-    /// sequential build (bit-for-bit today's unsharded behaviour), the
-    /// thread count rounded up to a power of two (capped at 16) otherwise.
-    #[must_use]
-    pub fn table_shards(mut self, shards: usize) -> Self {
-        self.table_shards = Some(shards.max(1));
-        self
-    }
-
-    /// Returns the explicit table shard override, if any.
-    #[must_use]
-    pub fn table_shards_value(&self) -> Option<usize> {
-        self.table_shards
-    }
-
-    /// The shard count a build with these options actually uses.
-    pub(crate) fn effective_table_shards(&self) -> usize {
-        self.table_shards.unwrap_or(if self.build_threads > 1 {
-            self.build_threads.next_power_of_two().min(16)
-        } else {
-            1
-        })
-    }
-
-    /// A fresh arena honouring the tolerance, node limit, and shard count.
-    pub(crate) fn arena(&self) -> DdArena {
-        DdArena::with_table_shards(
-            self.tolerance,
-            self.node_limit.unwrap_or(u32::MAX as usize),
-            self.effective_table_shards(),
-        )
+    /// A fresh arena honouring the tolerance and node limit.
+    fn arena(&self) -> DdArena {
+        DdArena::with_node_limit(self.tolerance, self.node_limit.unwrap_or(u32::MAX as usize))
     }
 }
 
@@ -245,10 +189,10 @@ impl Default for BuildOptions {
     }
 }
 
-pub(crate) struct Builder<'a> {
-    pub(crate) dims: &'a Dims,
-    pub(crate) opts: BuildOptions,
-    pub(crate) arena: DdArena,
+struct Builder<'a> {
+    dims: &'a Dims,
+    opts: BuildOptions,
+    arena: DdArena,
 }
 
 impl<'a> Builder<'a> {
@@ -256,11 +200,7 @@ impl<'a> Builder<'a> {
     /// upward edge (norm and pulled-up phase on the weight). The default
     /// path interns through the unique table; the `keep_zero_subtrees` tree
     /// path allocates every node unshared, materializing zero subtrees.
-    pub(crate) fn finish_node(
-        &mut self,
-        level: usize,
-        mut edges: Vec<Edge>,
-    ) -> Result<Edge, ArenaOverflow> {
+    fn finish_node(&mut self, level: usize, mut edges: Vec<Edge>) -> Result<Edge, ArenaOverflow> {
         if !self.opts.keep_zero_subtrees {
             return self.arena.intern_normalized(level, edges);
         }
@@ -297,7 +237,7 @@ impl<'a> Builder<'a> {
 
     /// Builds the subtree for `slice` rooted at `level`, returning the
     /// upward edge (normalization weight and target).
-    pub(crate) fn build(&mut self, level: usize, slice: &[Complex]) -> Result<Edge, ArenaOverflow> {
+    fn build(&mut self, level: usize, slice: &[Complex]) -> Result<Edge, ArenaOverflow> {
         let d = self.dims.dim(level);
         let chunk = slice.len() / d;
         let last_level = level + 1 == self.dims.len();
@@ -320,7 +260,7 @@ impl<'a> Builder<'a> {
     /// at `offset` with the given `strides`. Branches without entries become
     /// zero edges, which is what makes the construction linear in the
     /// support size instead of the space size.
-    pub(crate) fn build_sparse(
+    fn build_sparse(
         &mut self,
         level: usize,
         offset: usize,
@@ -526,43 +466,14 @@ impl StateDd {
         dims: &Dims,
         amplitudes: &[Complex],
         opts: BuildOptions,
-        arena: DdArena,
-    ) -> Result<Self, BuildError> {
-        let mut pool = crate::par::ScratchPool::new();
-        Self::from_amplitudes_in_pooled(dims, amplitudes, opts, arena, &mut pool)
-    }
-
-    /// [`StateDd::from_amplitudes_in`] with a caller-provided
-    /// [`ScratchPool`](crate::par::ScratchPool) backing the thread-local
-    /// arenas of a multi-threaded build
-    /// ([`BuildOptions::build_threads`] > 1), so a long-lived worker reuses
-    /// its per-task scratch arenas across jobs. With one build thread the
-    /// pool is untouched and this is exactly [`StateDd::from_amplitudes_in`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] as [`StateDd::from_amplitudes_in`] does.
-    pub fn from_amplitudes_in_pooled(
-        dims: &Dims,
-        amplitudes: &[Complex],
-        opts: BuildOptions,
         mut arena: DdArena,
-        pool: &mut crate::par::ScratchPool,
     ) -> Result<Self, BuildError> {
         Self::validate_amplitudes(dims, amplitudes, opts)?;
 
-        arena.reset_for_tables(
+        arena.reset_for(
             opts.tolerance,
             opts.node_limit.unwrap_or_else(|| arena.node_limit()),
-            opts.effective_table_shards(),
         );
-        if opts.build_threads_value() > 1 {
-            if let Some(plan) = crate::par::plan_split(dims, opts.build_threads_value()) {
-                return crate::par::from_amplitudes_split(
-                    dims, amplitudes, opts, arena, pool, plan,
-                );
-            }
-        }
         let mut builder = Builder { dims, opts, arena };
         let root_edge = builder.build(0, amplitudes)?;
         debug_assert!(!root_edge.is_zero(opts.tolerance.value()));
@@ -636,39 +547,15 @@ impl StateDd {
         dims: &Dims,
         entries: &[(Vec<usize>, Complex)],
         opts: BuildOptions,
-        arena: DdArena,
-    ) -> Result<Self, BuildError> {
-        let mut pool = crate::par::ScratchPool::new();
-        Self::from_sparse_in_pooled(dims, entries, opts, arena, &mut pool)
-    }
-
-    /// [`StateDd::from_sparse_in`] with a caller-provided
-    /// [`ScratchPool`](crate::par::ScratchPool); see
-    /// [`StateDd::from_amplitudes_in_pooled`] for the contract.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BuildError`] as [`StateDd::from_sparse_in`] does.
-    pub fn from_sparse_in_pooled(
-        dims: &Dims,
-        entries: &[(Vec<usize>, Complex)],
-        opts: BuildOptions,
         mut arena: DdArena,
-        pool: &mut crate::par::ScratchPool,
     ) -> Result<Self, BuildError> {
         let dedup = flatten_sparse(dims, entries, opts.tolerance.value())?;
 
         let opts = opts.keep_zero_subtrees(false);
-        arena.reset_for_tables(
+        arena.reset_for(
             opts.tolerance,
             opts.node_limit.unwrap_or_else(|| arena.node_limit()),
-            opts.effective_table_shards(),
         );
-        if opts.build_threads_value() > 1 {
-            if let Some(plan) = crate::par::plan_split(dims, opts.build_threads_value()) {
-                return crate::par::from_sparse_split(dims, &dedup, opts, arena, pool, plan);
-            }
-        }
         let mut builder = Builder { dims, opts, arena };
         let strides = dims.strides();
         let root_edge = builder.build_sparse(0, 0, &dedup, &strides)?;

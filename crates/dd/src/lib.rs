@@ -74,7 +74,6 @@ mod dot;
 mod entanglement;
 mod metrics;
 mod node;
-pub mod par;
 mod query;
 mod reduce;
 pub mod unique;
@@ -86,7 +85,6 @@ pub use build::{BuildError, BuildOptions};
 pub use dot::render_summary;
 pub use metrics::DdMetrics;
 pub use node::{Edge, Node, NodeId, NodeRef};
-pub use par::{plan_split, ScratchPool, SplitPlan};
 
 use mdq_num::radix::Dims;
 use mdq_num::{Complex, Tolerance};
@@ -100,9 +98,6 @@ const _: () = {
     assert_send_sync::<DdArena>();
     assert_send_sync::<ComputeCache>();
     assert_send_sync::<unique::UniqueTable>();
-    assert_send_sync::<unique::ShardedUniqueTable>();
-    assert_send_sync::<mdq_num::ShardedComplexTable>();
-    assert_send_sync::<ScratchPool>();
     assert_send_sync::<StateDd>();
     assert_send_sync::<Node>();
     assert_send_sync::<Edge>();

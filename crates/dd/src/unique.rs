@@ -1,11 +1,13 @@
 //! The unique table: the hash-consing index of a [`DdArena`].
 //!
-//! Every canonical node is registered here under its structural signature —
-//! level plus the `(canonical weight id, successor)` pair of every edge.
-//! Interning a node whose signature is already present returns the existing
-//! node instead of allocating a new one, which is what makes arena-built
-//! diagrams maximally shared *by construction* (the paper's §4.3 reduction
-//! rule, applied eagerly the way mature DD packages do it).
+//! Each arena owns exactly one [`UniqueTable`], a single hash map from
+//! structural signature to node. Every canonical node is registered here
+//! under its signature — level plus the `(canonical weight id, successor)`
+//! pair of every edge. Interning a node whose signature is already present
+//! returns the existing node instead of allocating a new one, which is what
+//! makes arena-built diagrams maximally shared *by construction* (the
+//! paper's §4.3 reduction rule, applied eagerly the way mature DD packages
+//! do it).
 //!
 //! Weight components of the signature are [`CanonicalId`]s from the arena's
 //! tolerance-bucketed [`ComplexTable`](mdq_num::ComplexTable), so subtrees
@@ -76,103 +78,6 @@ impl UniqueTable {
     }
 }
 
-/// A [`UniqueTable`] fanned out over fingerprint-selected shards.
-///
-/// Signatures route to a shard by an FNV-style fingerprint of the level and
-/// edge parts, so heavy hash-consing traffic (the parallel-build merge phase,
-/// large `apply_circuit_with` runs) spreads over several independent maps
-/// instead of serializing on one. With one shard the behaviour is identical
-/// to the plain table.
-#[derive(Debug, Clone)]
-pub struct ShardedUniqueTable {
-    shards: Vec<UniqueTable>,
-    mask: usize,
-}
-
-impl ShardedUniqueTable {
-    /// Creates an empty table with `shards` shards (rounded up to a power of
-    /// two, minimum 1).
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        let n = shards.max(1).next_power_of_two();
-        Self {
-            shards: (0..n).map(|_| UniqueTable::new()).collect(),
-            mask: n - 1,
-        }
-    }
-
-    /// Number of shards (always a power of two).
-    #[must_use]
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn shard_of(&self, signature: &NodeSignature) -> usize {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        h = (h ^ signature.0 as u64).wrapping_mul(PRIME);
-        for &(weight, target) in &signature.1 {
-            h = (h ^ u64::from(weight)).wrapping_mul(PRIME);
-            let t = match target {
-                NodeRef::Terminal => u64::MAX,
-                NodeRef::Node(id) => id.index() as u64,
-            };
-            h = (h ^ t).wrapping_mul(PRIME);
-        }
-        (h as usize) & self.mask
-    }
-
-    /// Total number of registered signatures across all shards.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(UniqueTable::len).sum()
-    }
-
-    /// Whether no shard holds any signature.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(UniqueTable::is_empty)
-    }
-
-    /// Drops every signature in every shard, retaining capacity.
-    pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear();
-        }
-    }
-
-    /// Re-targets the table at a (possibly different) shard count, dropping
-    /// every signature. When the count is unchanged this keeps allocated
-    /// capacity; otherwise the shard vector is rebuilt at the new width.
-    pub fn configure(&mut self, shards: usize) {
-        let n = shards.max(1).next_power_of_two();
-        if n == self.shards.len() {
-            self.clear();
-            return;
-        }
-        self.shards = (0..n).map(|_| UniqueTable::new()).collect();
-        self.mask = n - 1;
-    }
-
-    /// Looks up the node interned under `signature`, if any.
-    #[must_use]
-    pub fn get(&self, signature: &NodeSignature) -> Option<NodeId> {
-        self.shards[self.shard_of(signature)].get(signature)
-    }
-
-    /// Registers `signature` for `id` in its fingerprint-selected shard.
-    pub fn insert(&mut self, signature: NodeSignature, id: NodeId) -> Option<NodeId> {
-        let shard = self.shard_of(&signature);
-        self.shards[shard].insert(signature, id)
-    }
-}
-
-impl Default for ShardedUniqueTable {
-    fn default() -> Self {
-        Self::new(1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,58 +118,5 @@ mod tests {
         let s = sig(2, &[(5, NodeRef::Node(NodeId::new(1)))]);
         t.insert(s.clone(), NodeId::new(4));
         assert_eq!(t.insert(s, NodeId::new(9)), Some(NodeId::new(4)));
-    }
-
-    #[test]
-    fn sharded_round_trips_at_any_shard_count() {
-        for shards in [1, 2, 4, 8] {
-            let mut t = ShardedUniqueTable::new(shards);
-            let sigs: Vec<NodeSignature> = (0usize..64)
-                .map(|i| {
-                    sig(
-                        i % 5,
-                        &[
-                            (i as u32, NodeRef::Terminal),
-                            (i as u32 + 1, NodeRef::Node(NodeId::new(i))),
-                        ],
-                    )
-                })
-                .collect();
-            for (i, s) in sigs.iter().enumerate() {
-                assert_eq!(t.insert(s.clone(), NodeId::new(i)), None);
-            }
-            assert_eq!(t.len(), sigs.len());
-            for (i, s) in sigs.iter().enumerate() {
-                assert_eq!(t.get(s), Some(NodeId::new(i)));
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_duplicate_reports_existing() {
-        let mut t = ShardedUniqueTable::new(4);
-        let s = sig(1, &[(2, NodeRef::Terminal)]);
-        t.insert(s.clone(), NodeId::new(0));
-        assert_eq!(t.insert(s, NodeId::new(3)), Some(NodeId::new(0)));
-        assert_eq!(t.len(), 1);
-    }
-
-    #[test]
-    fn sharded_configure_resizes_and_clears() {
-        let mut t = ShardedUniqueTable::new(2);
-        t.insert(sig(0, &[(1, NodeRef::Terminal)]), NodeId::new(0));
-        t.configure(8);
-        assert_eq!(t.shard_count(), 8);
-        assert!(t.is_empty());
-        t.insert(sig(0, &[(1, NodeRef::Terminal)]), NodeId::new(0));
-        t.configure(8);
-        assert!(t.is_empty());
-        assert_eq!(t.shard_count(), 8);
-    }
-
-    #[test]
-    fn sharded_count_rounds_to_power_of_two() {
-        assert_eq!(ShardedUniqueTable::new(0).shard_count(), 1);
-        assert_eq!(ShardedUniqueTable::new(3).shard_count(), 4);
     }
 }

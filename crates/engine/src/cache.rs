@@ -24,6 +24,7 @@ use std::time::{Duration, Instant};
 
 use mdq_circuit::Circuit;
 use mdq_core::{Direction, ProductRule, SynthesisReport, VerificationReport};
+use mdq_num::hash::Fnv1a;
 use mdq_num::Complex;
 
 use crate::request::{PrepareRequest, StatePayload};
@@ -100,28 +101,6 @@ pub(crate) struct OptionsKey {
     pub(crate) keep_zero_subtrees: bool,
 }
 
-/// 64-bit FNV-1a, written out because the build environment has no
-/// registry access and `DefaultHasher`'s algorithm is explicitly
-/// unspecified across Rust releases — fingerprints stay stable.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn write_u64(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.0 ^= u64::from(byte);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Snaps one amplitude component onto the tolerance grid. Saturating casts
 /// keep the result deterministic for extreme magnitudes, and negative zero
 /// folds onto zero so `0.0` and `-0.0` share a cell.
@@ -145,11 +124,12 @@ fn quantize(component: f64, cell: f64) -> i64 {
 /// ring — so "the shard a request routes to" and "the bucket its circuit
 /// is cached under" can never drift apart.
 ///
-/// **Stability:** the fingerprint is a hand-rolled 64-bit FNV-1a over the
-/// tolerance-quantized amplitude grid and the option fields — not
-/// `DefaultHasher`, whose algorithm is explicitly unspecified — so the
-/// value is stable across Rust releases, platforms, and process restarts.
-/// It may only change with a deliberate format-version bump.
+/// **Stability:** the fingerprint is the workspace's 64-bit FNV-1a
+/// ([`mdq_num::hash`]) over the tolerance-quantized amplitude grid and the
+/// option fields — not `DefaultHasher`, whose algorithm is explicitly
+/// unspecified — so the value is stable across Rust releases, platforms,
+/// and process restarts. It may only change with a deliberate
+/// format-version bump.
 pub fn canonical_key(request: &PrepareRequest) -> Option<(u64, CanonicalKey)> {
     let dims = request.dims.as_slice().to_vec();
     let mut support: Vec<(u64, Complex)> = match &request.payload {
@@ -227,7 +207,7 @@ pub fn canonical_key(request: &PrepareRequest) -> Option<(u64, CanonicalKey)> {
 /// bits, stable across Rust releases.
 pub fn fingerprint_of(key: &CanonicalKey) -> u64 {
     let cell = f64::from_bits(key.options.tolerance).max(f64::MIN_POSITIVE);
-    let mut fnv = Fnv::new();
+    let mut fnv = Fnv1a::new();
     fnv.write_u64(key.dims.len() as u64);
     for &d in &key.dims {
         fnv.write_u64(d as u64);

@@ -70,21 +70,6 @@ pub struct EngineConfig {
     /// write contention. Build one with [`CircuitCache::freeze`] or
     /// [`snapshot::load_hot_tier`](crate::snapshot::load_hot_tier).
     pub hot_tier: Option<Arc<HotTier>>,
-    /// Upper bound on the *intra-job* build threads a single job may fan
-    /// out over (1, the default, disables within-job parallelism — today's
-    /// exact code path). Extra threads are granted per job at dispatch
-    /// time, only to jobs whose [cost
-    /// estimate](crate::PrepareRequest::cost_estimate) reaches
-    /// [`EngineConfig::intra_job_cost_threshold`], and only from the cores
-    /// the machine has left over beyond the worker pool
-    /// (`available_parallelism() − workers`) — so small-job throughput and
-    /// a saturated pool are never oversubscribed. See
-    /// [`EngineConfig::with_intra_job_threads`].
-    pub intra_job_threads: usize,
-    /// Minimum [cost estimate](crate::PrepareRequest::cost_estimate) a job
-    /// needs before the dispatcher considers granting it intra-job build
-    /// threads; cheaper jobs always build sequentially.
-    pub intra_job_cost_threshold: u64,
 }
 
 impl Default for EngineConfig {
@@ -104,8 +89,6 @@ impl Default for EngineConfig {
             cache_ttl: None,
             warm_start: None,
             hot_tier: None,
-            intra_job_threads: 1,
-            intra_job_cost_threshold: 0,
         }
     }
 }
@@ -197,30 +180,6 @@ impl EngineConfig {
         self.hot_tier = Some(tier);
         self
     }
-
-    /// Lets jobs whose [cost
-    /// estimate](crate::PrepareRequest::cost_estimate) reaches
-    /// `cost_threshold` build their diagram on up to `threads` threads —
-    /// intra-job parallelism for the large jobs whose tail latency is
-    /// otherwise bounded by single-thread speed.
-    ///
-    /// The grant is clamped at dispatch time: never beyond
-    /// `available_parallelism()`, never beyond the cores left over once
-    /// the worker pool is accounted for, and always 1 for jobs below the
-    /// threshold — so enabling this cannot oversubscribe the machine or
-    /// slow the small-job stream. Results stay bit-identical to the
-    /// sequential build (see
-    /// [`BuildOptions::build_threads`](mdq_dd::BuildOptions::build_threads)).
-    ///
-    /// Pair this with a narrower pool ([`EngineConfig::with_workers`]):
-    /// with the default one-worker-per-core pool there are no spare cores
-    /// and no job is ever granted extra threads.
-    #[must_use]
-    pub fn with_intra_job_threads(mut self, cost_threshold: u64, threads: usize) -> Self {
-        self.intra_job_cost_threshold = cost_threshold;
-        self.intra_job_threads = threads.max(1);
-        self
-    }
 }
 
 /// Aggregate counters of a service/engine, cumulative since construction.
@@ -257,11 +216,6 @@ pub struct EngineStats {
     pub arena_reuses: u64,
     /// Jobs currently waiting in the scheduler queue.
     pub queued: usize,
-    /// Freshly computed (non-cache) jobs that ran their diagram build on
-    /// more than one thread — the observable of
-    /// [`EngineConfig::with_intra_job_threads`]. Stays 0 when the machine
-    /// has no cores to spare beyond the worker pool.
-    pub parallel_builds: u64,
     /// Blocking submitters currently **parked on the admission ticket
     /// queue** of a bounded scheduler
     /// ([`EngineConfig::with_queue_depth`]), waiting for freed slots that

@@ -15,7 +15,7 @@
 
 use std::fmt;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -232,15 +232,6 @@ struct ServiceShared {
     /// Jobs whose pipeline ran on a worker's *retained* scratch arena —
     /// the observable proof of worker persistence across submissions.
     arena_reuses: AtomicU64,
-    /// Freshly computed jobs whose diagram build fanned out over more
-    /// than one thread ([`EngineConfig::with_intra_job_threads`]).
-    parallel_builds: AtomicU64,
-    /// Cores currently free beyond the worker pool — the pool intra-job
-    /// grants draw from. Seeded with
-    /// `available_parallelism().saturating_sub(workers)` and moved by
-    /// CAS reserve/release around each granted job, so concurrent large
-    /// jobs can never oversubscribe the machine between them.
-    extra_cores: AtomicUsize,
     workers: Vec<WorkerSlot>,
     /// Outcome of the construction-time warm-start load: `None` when no
     /// [`EngineConfig::warm_start`] path was set or the file did not exist
@@ -249,53 +240,6 @@ struct ServiceShared {
 }
 
 impl ServiceShared {
-    /// Takes up to `want` cores from the spare-core pool (CAS loop — two
-    /// workers dispatching large jobs concurrently split the pool instead
-    /// of both taking all of it). Returns how many were actually reserved;
-    /// the caller owes [`ServiceShared::release_extra_cores`] for them.
-    fn reserve_extra_cores(&self, want: usize) -> usize {
-        if want == 0 {
-            return 0;
-        }
-        let mut free = self.extra_cores.load(Ordering::Relaxed);
-        loop {
-            let take = free.min(want);
-            if take == 0 {
-                return 0;
-            }
-            match self.extra_cores.compare_exchange_weak(
-                free,
-                free - take,
-                Ordering::AcqRel,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return take,
-                Err(actual) => free = actual,
-            }
-        }
-    }
-
-    /// Returns cores reserved by [`ServiceShared::reserve_extra_cores`].
-    fn release_extra_cores(&self, n: usize) {
-        if n > 0 {
-            self.extra_cores.fetch_add(n, Ordering::AcqRel);
-        }
-    }
-
-    /// The build-thread grant for one job: 1 (sequential) unless intra-job
-    /// parallelism is configured, the job's cost estimate reaches the
-    /// threshold, and spare cores are available — satellite-1's clamps
-    /// (never beyond `available_parallelism()`, never for cheap jobs) hold
-    /// by construction because the pool was seeded with
-    /// `available_parallelism() − workers`.
-    fn intra_job_grant(&self, request: &PrepareRequest) -> usize {
-        let cap = self.config.intra_job_threads;
-        if cap <= 1 || request.cost_estimate() < self.config.intra_job_cost_threshold {
-            return 1;
-        }
-        1 + self.reserve_extra_cores(cap - 1)
-    }
-
     /// Threshold gate shared by the fresh and cached serving paths: `Ok`
     /// when the request demands no verification or the measured fidelity
     /// clears the floor, [`EngineError::VerificationFailed`] otherwise.
@@ -374,9 +318,6 @@ impl ServiceShared {
         if warm_start {
             self.arena_reuses.fetch_add(1, Ordering::Relaxed);
         }
-        if preparer.build_threads() > 1 {
-            self.parallel_builds.fetch_add(1, Ordering::Relaxed);
-        }
         let verification = if request.options.verification.is_enabled() {
             let measured = match &request.payload {
                 StatePayload::Dense(amplitudes) => {
@@ -445,14 +386,7 @@ impl ServiceShared {
         while let Some(job) = self.scheduler.pop() {
             let queue_wait = job.submitted_at.elapsed();
             let started = Instant::now();
-            // Per-job intra-job thread grant: large jobs borrow spare
-            // cores for the duration of their build, everything else runs
-            // the exact sequential path.
-            let grant = self.intra_job_grant(&job.request);
-            preparer.set_build_threads(grant);
             let mut outcome = self.serve(&mut preparer, &job.request);
-            preparer.set_build_threads(1);
-            self.release_extra_cores(grant - 1);
             if let Ok(report) = &mut outcome {
                 report.elapsed = started.elapsed();
                 report.queue_wait = queue_wait;
@@ -508,7 +442,6 @@ impl ServiceShared {
             arena_reuses: self.arena_reuses.load(Ordering::Relaxed),
             queued: self.scheduler.len(),
             parked: self.scheduler.parked(),
-            parallel_builds: self.parallel_builds.load(Ordering::Relaxed),
         }
     }
 }
@@ -579,17 +512,6 @@ impl EngineService {
             .warm_start
             .as_ref()
             .and_then(|path| path.exists().then(|| snapshot::load_into(&cache, path)));
-        // Intra-job grants only ever draw from cores the worker pool does
-        // not already claim, so the default one-worker-per-core pool gets
-        // a zero budget and builds stay sequential.
-        let extra_core_budget = if config.intra_job_threads > 1 {
-            thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-                .saturating_sub(workers)
-        } else {
-            0
-        };
         let shared = Arc::new(ServiceShared {
             scheduler: Scheduler::new(config.scheduling, config.queue_depth, config.aging),
             cache,
@@ -601,8 +523,6 @@ impl EngineService {
             verified: AtomicU64::new(0),
             verification_failures: AtomicU64::new(0),
             arena_reuses: AtomicU64::new(0),
-            parallel_builds: AtomicU64::new(0),
-            extra_cores: AtomicUsize::new(extra_core_budget),
             workers: (0..workers).map(|_| WorkerSlot::default()).collect(),
             config,
         });
@@ -1303,58 +1223,6 @@ mod tests {
         assert_eq!(stats.cache.hot_hits, 1);
         assert_eq!(stats.cache.entries, 0, "nothing copied into the shards");
         second.shutdown();
-    }
-
-    #[test]
-    fn intra_job_threads_grant_spare_cores_only_to_large_jobs() {
-        let d = dims(&[3, 6, 2, 4]);
-        let service = EngineService::new(
-            EngineConfig::default()
-                .with_workers(1)
-                .without_cache()
-                .with_intra_job_threads(64, 4),
-        );
-        let large = PrepareRequest::dense(d.clone(), w_state(&d), PrepareOptions::exact());
-        assert!(
-            large.cost_estimate() >= 64,
-            "large job clears the threshold"
-        );
-        let small_dims = dims(&[2, 2]);
-        let small = PrepareRequest::dense(
-            small_dims.clone(),
-            ghz(&small_dims),
-            PrepareOptions::exact(),
-        );
-        assert!(small.cost_estimate() < 64, "small job stays below it");
-        let served_large = service.submit(large.clone()).wait().unwrap();
-        let served_small = service.submit(small.clone()).wait().unwrap();
-        // Bit-identical to the sequential pipeline either way — the grant
-        // changes the schedule, never the circuit.
-        assert_eq!(
-            served_large.circuit,
-            large.prepare_sequential().unwrap().circuit
-        );
-        assert_eq!(
-            served_small.circuit,
-            small.prepare_sequential().unwrap().circuit
-        );
-        let stats = service.stats();
-        let spare = thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .saturating_sub(1);
-        if spare == 0 {
-            assert_eq!(
-                stats.parallel_builds, 0,
-                "no cores beyond the worker: every build stays sequential"
-            );
-        } else {
-            assert_eq!(
-                stats.parallel_builds, 1,
-                "only the above-threshold job was granted build threads"
-            );
-        }
-        service.shutdown();
     }
 
     #[test]

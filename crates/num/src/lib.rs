@@ -11,6 +11,11 @@
 //!   approximate equality in the workspace.
 //! * [`ComplexTable`] — a tolerance-bucketed canonical store of complex
 //!   values; its size is the "DistinctC" metric of the paper's Table 1.
+//!   Each decision-diagram arena owns exactly one plain table and
+//!   canonicalizes every edge weight through it.
+//! * [`hash`] — the stable 64-bit FNV-1a hash behind every persisted or
+//!   transmitted hash value in the workspace (cache fingerprints, ring
+//!   points, envelope checksums).
 //! * [`radix`] — mixed-radix index arithmetic for Hilbert spaces that are
 //!   tensor products of different local dimensions, including the
 //!   unreduced-tree edge-count formula behind the "Nodes" metric.
@@ -36,15 +41,14 @@
 #![warn(missing_docs)]
 
 mod complex;
-mod sharded;
 mod table;
 mod tolerance;
 
+pub mod hash;
 pub mod matrix;
 pub mod radix;
 
 pub use complex::Complex;
-pub use sharded::ShardedComplexTable;
 pub use table::{distinct_complex_count, CanonicalId, ComplexTable, ComplexTableStats};
 pub use tolerance::Tolerance;
 
@@ -56,7 +60,6 @@ const _: () = {
     assert_send_sync::<Complex>();
     assert_send_sync::<Tolerance>();
     assert_send_sync::<ComplexTable>();
-    assert_send_sync::<ShardedComplexTable>();
     assert_send_sync::<ComplexTableStats>();
     assert_send_sync::<radix::Dims>();
     assert_send_sync::<matrix::CMatrix>();

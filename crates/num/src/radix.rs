@@ -21,6 +21,10 @@ pub enum DimsError {
         /// The dimension found.
         dim: usize,
     },
+    /// The Hilbert-space size `Π d_i`, or the unreduced tree's edge count
+    /// ([`Dims::full_tree_edge_count`]), does not fit in `usize`, so flat
+    /// indices would wrap.
+    SpaceTooLarge,
 }
 
 impl fmt::Display for DimsError {
@@ -30,6 +34,10 @@ impl fmt::Display for DimsError {
             DimsError::DimensionTooSmall { position, dim } => write!(
                 f,
                 "qudit at position {position} has dimension {dim}, but at least 2 is required"
+            ),
+            DimsError::SpaceTooLarge => write!(
+                f,
+                "register's Hilbert space (or its unreduced tree) exceeds the usize index space"
             ),
         }
     }
@@ -63,15 +71,22 @@ impl Dims {
     ///
     /// # Errors
     ///
-    /// Returns [`DimsError`] if the vector is empty or any dimension is < 2.
+    /// Returns [`DimsError`] if the vector is empty, any dimension is < 2,
+    /// or the unreduced tree's edge count `1 + Σ_k Π_{i≤k} d_i` — which
+    /// bounds the space size and every index, stride and count derived
+    /// from it — does not fit in `usize`.
     pub fn new(dims: Vec<usize>) -> Result<Self, DimsError> {
         if dims.is_empty() {
             return Err(DimsError::Empty);
         }
+        let mut edges: usize = 1;
+        let mut prefix: usize = 1;
         for (position, &dim) in dims.iter().enumerate() {
             if dim < 2 {
                 return Err(DimsError::DimensionTooSmall { position, dim });
             }
+            prefix = prefix.checked_mul(dim).ok_or(DimsError::SpaceTooLarge)?;
+            edges = edges.checked_add(prefix).ok_or(DimsError::SpaceTooLarge)?;
         }
         Ok(Self { dims })
     }
@@ -81,7 +96,8 @@ impl Dims {
     ///
     /// # Errors
     ///
-    /// Returns [`DimsError`] if `n == 0` or `d < 2`.
+    /// Returns [`DimsError`] if `n == 0`, `d < 2`, or the register is too
+    /// large to index (see [`Dims::new`]).
     pub fn uniform(n: usize, d: usize) -> Result<Self, DimsError> {
         Self::new(vec![d; n])
     }

@@ -14,12 +14,6 @@ impl CanonicalId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
-
-    /// Rehydrates an id from its raw index — only for the sharded wrapper,
-    /// which owns the global id space.
-    pub(crate) fn from_raw(raw: u32) -> Self {
-        CanonicalId(raw)
-    }
 }
 
 /// Usage counters of a [`ComplexTable`] — the "weight-table pressure" a
@@ -177,19 +171,6 @@ impl ComplexTable {
         }
         self.exact.insert(bits, id.0);
         id
-    }
-
-    /// Appends `v` as a new canonical entry without probing for an existing
-    /// representative — the back end of
-    /// [`ShardedComplexTable::insert`](crate::ShardedComplexTable), which has
-    /// already probed every shard covering the value's neighbourhood.
-    pub(crate) fn push_new(&mut self, v: Complex) -> CanonicalId {
-        let id = u32::try_from(self.values.len()).expect("complex table overflow");
-        self.values.push(v);
-        let cell = self.cell(v);
-        self.buckets.entry(cell).or_default().push(id);
-        self.insertions += 1;
-        CanonicalId(id)
     }
 
     /// Finds the canonical id for a value already in the table, if any.

@@ -100,6 +100,34 @@ fn large_qubit_register_does_not_overflow() {
 }
 
 #[test]
+fn registers_beyond_the_index_space_are_rejected() {
+    // [2,3,4,5]×10: 120¹⁰ ≈ 6.2 × 10²⁰ > 2⁶⁴ amplitudes.
+    let pattern: Vec<usize> = (0..40).map(|i| 2 + i % 4).collect();
+    assert_eq!(Dims::new(pattern), Err(DimsError::SpaceTooLarge));
+    // 64 qubits: the space size itself is 2⁶⁴.
+    assert_eq!(Dims::uniform(64, 2), Err(DimsError::SpaceTooLarge));
+    // A single qudit whose tree edge count (1 + d) overflows.
+    assert_eq!(Dims::new(vec![usize::MAX]), Err(DimsError::SpaceTooLarge));
+    assert!(Dims::new(vec![usize::MAX - 1]).is_ok());
+    // The scan reports whichever problem comes first, left to right.
+    assert_eq!(
+        Dims::new(vec![usize::MAX, usize::MAX, 1]),
+        Err(DimsError::SpaceTooLarge)
+    );
+    assert_eq!(
+        Dims::new(vec![1, usize::MAX, usize::MAX]),
+        Err(DimsError::DimensionTooSmall {
+            position: 0,
+            dim: 1
+        })
+    );
+    assert!(Dims::uniform(64, 2)
+        .unwrap_err()
+        .to_string()
+        .contains("exceeds"));
+}
+
+#[test]
 fn large_mixed_register_round_trips_at_extremes() {
     // 4^20 · 9 ≈ 9.9 × 10¹², far beyond dense simulation but fine for
     // index arithmetic.

@@ -18,28 +18,24 @@
 //! nothing else; `ring` unit tests pin both the exact-membership property
 //! and the moved-fraction bound.
 
-/// FNV-1a offset basis (the same constants as the engine's fingerprint
-/// hash; the ring only needs *a* stable 64-bit mix, and reusing the
-/// workspace's one keeps placement reproducible across runs and builds).
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(words: &[u64]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for word in words {
-        for byte in word.to_le_bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    hash
-}
+use mdq_num::hash::Fnv1a;
 
 /// Salt separating ring point hashes from the fingerprint domain they
 /// route (a fingerprint is itself an FNV-1a value; without a salt a shard
 /// point could collide with "its own" keys more often than chance).
 const POINT_SALT: u64 = 0x6d64_715f_7269_6e67; // "mdq_ring"
+
+/// The ring position of one virtual point: FNV-1a ([`mdq_num::hash`], the
+/// same stable hash as the engine's fingerprints) over the salt, the shard
+/// and the replica index, so placement is reproducible across runs and
+/// builds.
+fn point(shard: usize, replica: usize) -> u64 {
+    let mut hash = Fnv1a::new();
+    for word in [POINT_SALT, shard as u64, replica as u64] {
+        hash.write_u64(word);
+    }
+    hash.finish()
+}
 
 /// A consistent-hash ring mapping `u64` fingerprints to shard ids.
 ///
@@ -79,8 +75,7 @@ impl HashRing {
             return false;
         }
         for replica in 0..self.replicas {
-            let point = fnv1a(&[POINT_SALT, shard as u64, replica as u64]);
-            self.points.push((point, shard));
+            self.points.push((point(shard, replica), shard));
         }
         self.points.sort_unstable();
         true

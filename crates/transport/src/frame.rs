@@ -39,18 +39,13 @@ const HEADER_MAX: usize = 64;
 /// How many bytes one socket read asks for.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// FNV-1a over `bytes` — the envelope checksum.
+/// FNV-1a 64 over `bytes` — the envelope checksum.
 ///
-/// The same hash family the router's ring and the engine's cache keys
-/// use; duplicated here only in its plain byte-slice form.
+/// The workspace's one stable hash ([`mdq_num::hash::fnv1a`]), the same
+/// the router's ring and the engine's cache keys use.
 #[must_use]
 pub fn checksum(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    mdq_num::hash::fnv1a(bytes)
 }
 
 /// Serializes `frame` and writes it to `stream` under one envelope, as a

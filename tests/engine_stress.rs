@@ -187,26 +187,14 @@ const QUEUE_DEPTH: usize = 4;
 /// blocking and the non-blocking submission paths), waits out every
 /// accepted handle, and reconciles the outcome ledger with both the
 /// templates' expectations and the service's own counters.
-fn flood_and_reconcile(workers: usize, policy: SchedulingPolicy) -> mdq::engine::EngineStats {
-    flood_and_reconcile_with(workers, policy, |config| config)
-}
-
-/// [`flood_and_reconcile`] with a caller-supplied final say on the
-/// service configuration (e.g. enabling intra-job build threads), so
-/// every hardening feature can be run under the same chaos workload and
-/// ledger. Returns the final stats for feature-specific assertions.
-fn flood_and_reconcile_with(
-    workers: usize,
-    policy: SchedulingPolicy,
-    configure: impl FnOnce(EngineConfig) -> EngineConfig,
-) -> mdq::engine::EngineStats {
+fn flood_and_reconcile(workers: usize, policy: SchedulingPolicy) {
     let templates = templates();
-    let service = EngineService::new(configure(
+    let service = EngineService::new(
         EngineConfig::default()
             .with_workers(workers)
             .with_queue_depth(QUEUE_DEPTH)
             .with_scheduling(policy),
-    ));
+    );
     let rejected_total = AtomicU64::new(0);
 
     // Fan submissions out from SUBMITTERS threads; collect (template
@@ -344,7 +332,6 @@ fn flood_and_reconcile_with(
         "verified good templates recurred, so passing verifications happened"
     );
     service.shutdown();
-    stats
 }
 
 #[test]
@@ -363,49 +350,6 @@ fn stress_flood_reconciles_at_two_workers() {
 fn stress_flood_reconciles_at_four_workers() {
     flood_and_reconcile(4, SchedulingPolicy::SizeAware);
     flood_and_reconcile(4, SchedulingPolicy::Fifo);
-}
-
-/// Satellite: the same chaos workload with **intra-job build threads**
-/// enabled — large jobs borrow spare cores for their diagram build — must
-/// keep every invariant of the harness: the ledger reconciles exactly and
-/// every completed job stays bit-identical to the sequential pipeline
-/// (verified entries included; the bit-identity and report assertions live
-/// inside `flood_and_reconcile_with`). On hosts with a core to spare
-/// beyond the single worker, the run must also observably exercise the
-/// parallel path.
-#[test]
-fn stress_flood_reconciles_with_intra_job_threads() {
-    // Threshold 30 puts the `[3,6,2]` dense templates (cost 36) above the
-    // bar and the `[4,3]` ones (cost 12) below it, so both grant branches
-    // run under chaos.
-    let stats = flood_and_reconcile_with(1, SchedulingPolicy::SizeAware, |config| {
-        config.with_intra_job_threads(30, 4)
-    });
-    let spare = thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .saturating_sub(1);
-    if spare == 0 {
-        assert_eq!(
-            stats.parallel_builds, 0,
-            "no spare cores: the grant must clamp every build to one thread"
-        );
-    } else {
-        // With one worker the spare-core pool is never contended, so the
-        // first fresh compute of an above-threshold template is enough.
-        assert!(
-            stats.parallel_builds >= 1,
-            "spare cores available but no build went parallel"
-        );
-    }
-    // Two workers contending for the same spare-core pool: grants may
-    // race to zero extra cores, but the ledger and bit-identity must hold.
-    flood_and_reconcile_with(2, SchedulingPolicy::SizeAware, |config| {
-        config.with_intra_job_threads(30, 4)
-    });
-    flood_and_reconcile_with(2, SchedulingPolicy::Fifo, |config| {
-        config.with_intra_job_threads(30, 2)
-    });
 }
 
 /// A saturated one-slot queue must actually exercise the rejection path:

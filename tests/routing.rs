@@ -2,13 +2,16 @@
 //! — structured and random states, dense and sparse, exact and
 //! approximated, duplicated for cache hits — every circuit served through
 //! a 1-, 2-, or 4-shard [`Router`] is bit-identical to the one-shot
-//! sequential pipeline, and the per-tenant ledgers reconcile.
+//! sequential pipeline, and the per-tenant ledgers reconcile. The cache
+//! fingerprint and the ring placement it routes by are pinned to literal
+//! values: warm-restarted shards find their snapshot keys only while both
+//! stay put.
 
 use mdq::core::PrepareOptions;
-use mdq::engine::{EngineConfig, PrepareRequest, Priority};
+use mdq::engine::{canonical_key, fingerprint_of, EngineConfig, PrepareRequest, Priority};
 use mdq::num::radix::Dims;
 use mdq::num::Complex;
-use mdq::router::{Router, RouterConfig, TenantId};
+use mdq::router::{HashRing, Router, RouterConfig, TenantId};
 use mdq::states::{ghz, w_state};
 use proptest::prelude::*;
 
@@ -137,4 +140,42 @@ proptest! {
             router.shutdown();
         }
     }
+}
+
+/// Fingerprint of dense GHZ on `[3,6,2]` under exact options.
+const GHZ_362_FINGERPRINT: u64 = 0xbdd7_242c_1edd_1b70;
+
+#[test]
+fn fingerprint_of_a_fixed_key_is_pinned() {
+    let dims = Dims::new(vec![3, 6, 2]).unwrap();
+    let request = PrepareRequest::dense(dims.clone(), ghz(&dims), PrepareOptions::exact());
+    let (fingerprint, key) = canonical_key(&request).expect("well-formed request");
+    assert_eq!(fingerprint, GHZ_362_FINGERPRINT);
+    assert_eq!(fingerprint_of(&key), GHZ_362_FINGERPRINT);
+}
+
+#[test]
+fn ring_placement_on_four_shards_is_pinned() {
+    let mut ring = HashRing::default();
+    for shard in 0..4 {
+        ring.add(shard);
+    }
+    let pinned: [(u64, usize); 8] = [
+        (0, 3),
+        (1, 3),
+        (42, 3),
+        (0x0123_4567_89ab_cdef, 0),
+        (0x8000_0000_0000_0000, 2),
+        (0xdead_beef_cafe_f00d, 3),
+        (u64::MAX, 3),
+        (GHZ_362_FINGERPRINT, 1),
+    ];
+    for (fingerprint, shard) in pinned {
+        assert_eq!(ring.route(fingerprint), Some(shard), "{fingerprint:#018x}");
+    }
+    // A golden-ratio stride over the whole ring, touching every shard.
+    let stride: Vec<usize> = (0..16u64)
+        .map(|i| ring.route(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).unwrap())
+        .collect();
+    assert_eq!(stride, [3, 1, 3, 2, 1, 3, 1, 3, 0, 1, 3, 1, 3, 0, 1, 0]);
 }

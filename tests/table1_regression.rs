@@ -9,6 +9,7 @@
 mod support;
 
 use mdq::core::{prepare, verify::prepare_and_verify, PrepareOptions};
+use mdq::num::hash::fnv1a;
 use mdq::num::radix::Dims;
 use mdq::num::Complex;
 use mdq::states::{embedded_w, ghz, random_state, w_state, RandomKind};
@@ -42,12 +43,7 @@ struct GoldenRegister {
 /// reordering golden rows never shifts the random states — and therefore
 /// the checked-in expectations — of unrelated rows.
 fn row_seed(label: &str) -> u64 {
-    let mut hash = 0xCBF2_9CE4_8422_2325u64; // FNV-1a
-    for byte in label.bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    hash
+    fnv1a(label.as_bytes())
 }
 
 fn load_golden() -> Vec<GoldenRegister> {

@@ -325,8 +325,11 @@ fn oversized_declaration_is_refused_over_socket() {
 /// reference value so the wire format cannot drift silently.
 #[test]
 fn envelope_checksum_is_fnv1a64() {
-    // FNV-1a test vector: the empty input hashes to the offset basis.
+    // FNV-1a 64 reference vectors: the empty input hashes to the offset
+    // basis; the non-empty ones exercise the multiplier.
     assert_eq!(checksum(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(checksum(b"a"), 0xaf63_dc4c_8601_ec8c);
+    assert_eq!(checksum(b"foobar"), 0x8594_4171_f739_67e8);
     // And one enveloped frame carries exactly that hash of its payload.
     let frame = Frame::Error(ErrorFrame::Shutdown);
     let text = frame.to_text().expect("serialize");

@@ -10,7 +10,7 @@ use std::time::Duration;
 use mdq::core::{PrepareOptions, VerificationPolicy, VerificationReport};
 use mdq::engine::{
     ErrorFrame, Frame, PrepareReport, PrepareRequest, Priority, ReportFrame, RequestFrame,
-    StatePayload,
+    StatePayload, WireError,
 };
 use mdq::num::radix::Dims;
 use mdq::num::Complex;
@@ -379,5 +379,35 @@ proptest! {
             panic!("frame kind must survive");
         };
         prop_assert_eq!(back, frame);
+    }
+}
+
+/// A request for `[2,3,4,5]×10` — 120¹⁰ > 2⁶⁴ amplitudes, so flat indices
+/// would wrap — fails to parse with a typed error instead of reaching the
+/// index arithmetic. Apart from its register the frame is well-formed: it
+/// is a valid 40-qubit frame with the dims line swapped.
+#[test]
+fn register_beyond_the_index_space_fails_typed() {
+    let qubits = Dims::uniform(40, 2).unwrap();
+    let request = PrepareRequest::sparse(
+        qubits,
+        vec![(vec![0; 40], Complex::ONE)],
+        PrepareOptions::exact(),
+    );
+    let text = Frame::Request(RequestFrame {
+        tenant: None,
+        request,
+    })
+    .to_text()
+    .unwrap();
+    let qubit_line = format!("dims{}\n", " 2".repeat(40));
+    let huge: String = (0..40).map(|i| format!(" {}", 2 + i % 4)).collect();
+    assert!(text.contains(&qubit_line));
+    let text = text.replacen(&qubit_line, &format!("dims{huge}\n"), 1);
+    match Frame::parse(&text) {
+        Err(WireError::Corrupt { message, .. }) => {
+            assert!(message.contains("SpaceTooLarge"), "message: {message}");
+        }
+        other => panic!("oversized register must fail typed, got {other:?}"),
     }
 }
