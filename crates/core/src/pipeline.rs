@@ -746,22 +746,25 @@ fn run_pipeline(
     };
     // Arena-built diagrams are maximally shared already; an explicit
     // reduction pass is only meaningful on Table-1 trees.
-    let dd = if opts.reduce && !dd.is_canonical() {
-        dd.reduce()
-    } else {
-        dd
-    };
+    let reduced = opts.reduce && !dd.is_canonical();
+    let dd = if reduced { dd.reduce() } else { dd };
 
     let circuit = synthesize(&dd, opts.synthesis);
     let time = t1.elapsed();
     let total_time = t0.elapsed();
+    // Unless a pass rewrote the diagram, its DistinctC is the initial one.
+    let distinct_c_final = if reduced || opts.fidelity_threshold.is_some() {
+        dd.distinct_complex_count()
+    } else {
+        distinct_c_initial
+    };
 
     let stats = circuit.stats();
     let report = SynthesisReport {
         nodes_initial,
         nodes_final: dd.edge_count(),
         distinct_c_initial,
-        distinct_c_final: dd.distinct_complex_count(),
+        distinct_c_final,
         operations: stats.operations,
         controls_median: stats.controls_median,
         controls_mean: stats.controls_mean,
@@ -1191,6 +1194,89 @@ mod tests {
         // Second replay reuses the preparer's memo tables.
         let again = preparer.replay(&result.circuit).unwrap();
         assert!((again.fidelity(&result.dd) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn warm_verification_is_bit_identical_to_fresh() {
+        // A warm preparer replays into a recycled arena through a recycled
+        // compute cache, reusing their signature and sum-key buffers; no
+        // leftover of an earlier job may change a measured bit.
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut warm = Preparer::new();
+        let small = dims(&[3, 6, 2]);
+        let tree = random_state(&small, RandomKind::ReImUniform, &mut rng);
+        for opts in [PrepareOptions::exact(), PrepareOptions::approximated(0.98)] {
+            let result = warm.prepare(&small, &tree, opts).unwrap();
+            warm.verify_dense(&result.circuit, &tree).unwrap();
+            warm.recycle(result);
+        }
+        let mixed = dims(&[2, 3, 4, 5]);
+        let sparse = mdq_states::sparse::random_sparse(&mixed, 12, &mut rng);
+        let result = warm
+            .prepare_sparse(&mixed, &sparse, PrepareOptions::exact())
+            .unwrap();
+        warm.verify_sparse(&result.circuit, &sparse, Tolerance::default())
+            .unwrap();
+        warm.recycle(result);
+
+        let d = dims(&[4, 7, 4, 4, 3, 5]);
+        let target = random_state(&d, RandomKind::ReImUniform, &mut rng);
+        for opts in [PrepareOptions::exact(), PrepareOptions::approximated(0.98)] {
+            let mut fresh = Preparer::new();
+            let hot = warm.prepare(&d, &target, opts).unwrap();
+            let cold = fresh.prepare(&d, &target, opts).unwrap();
+            let hot_report = warm.verify_dense(&hot.circuit, &target).unwrap();
+            let cold_report = fresh.verify_dense(&cold.circuit, &target).unwrap();
+            assert_eq!(
+                hot_report.fidelity.to_bits(),
+                cold_report.fidelity.to_bits()
+            );
+            assert_eq!(hot_report.replay_nodes, cold_report.replay_nodes);
+            warm.recycle(hot);
+        }
+
+        let wide = dims(&(0..20).map(|i| 2 + i % 4).collect::<Vec<_>>());
+        let w = mdq_states::sparse::w_state(&wide);
+        let mut fresh = Preparer::new();
+        let hot = warm
+            .prepare_sparse(&wide, &w, PrepareOptions::exact())
+            .unwrap();
+        let cold = fresh
+            .prepare_sparse(&wide, &w, PrepareOptions::exact())
+            .unwrap();
+        let hot_report = warm
+            .verify_sparse(&hot.circuit, &w, Tolerance::default())
+            .unwrap();
+        let cold_report = fresh
+            .verify_sparse(&cold.circuit, &w, Tolerance::default())
+            .unwrap();
+        assert_eq!(
+            hot_report.fidelity.to_bits(),
+            cold_report.fidelity.to_bits()
+        );
+        assert_eq!(hot_report.replay_nodes, cold_report.replay_nodes);
+    }
+
+    #[test]
+    fn final_distinct_c_counts_the_final_diagram() {
+        // `distinct_c_final` is only recomputed when a pass rewrote the
+        // diagram; either way it must count the diagram that was synthesized.
+        let mut rng = StdRng::seed_from_u64(31);
+        let d = dims(&[3, 6, 2]);
+        let target = random_state(&d, RandomKind::ReImUniform, &mut rng);
+        for opts in [
+            PrepareOptions::exact(),
+            PrepareOptions::exact().without_zero_subtrees(),
+            PrepareOptions::exact().with_reduction(),
+            PrepareOptions::approximated(0.9),
+        ] {
+            let result = prepare(&d, &target, opts).unwrap();
+            assert_eq!(
+                result.report.distinct_c_final,
+                result.dd.distinct_complex_count(),
+                "{opts:?}"
+            );
+        }
     }
 
     #[test]

@@ -362,15 +362,21 @@ impl ApplyCtx<'_> {
                 Edge::new(w, NodeRef::Terminal)
             });
         }
-        // Memoize on the exact sorted term list (addition is commutative).
+        // Memoize on the exact sorted term list (addition is commutative),
+        // probing with the reused key buffer; the recursion below reuses it
+        // too, so a miss keeps its own copy for the final insert.
         terms.sort_by_key(|e| (e.target, e.weight.re.to_bits(), e.weight.im.to_bits()));
-        let key: Vec<(u64, u64, NodeRef)> = terms
-            .iter()
-            .map(|e| (e.weight.re.to_bits(), e.weight.im.to_bits(), e.target))
-            .collect();
-        if let Some(&done) = self.cache.sum.get(&key) {
+        let key = &mut self.cache.sum_key;
+        key.clear();
+        key.extend(
+            terms
+                .iter()
+                .map(|e| (e.weight.re.to_bits(), e.weight.im.to_bits(), e.target)),
+        );
+        if let Some(&done) = self.cache.sum.get(key.as_slice()) {
             return Ok(done);
         }
+        let key = key.clone();
         let first = terms[0].target.id().expect("internal summands");
         let (level, d) = {
             let node = self.arena.node(first);

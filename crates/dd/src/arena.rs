@@ -8,8 +8,9 @@
 //! * one [`UniqueTable`] hash-consing nodes by their structural signature
 //!   (see the [`unique`](crate::unique) module).
 //!
-//! Both are plain single-map tables owned by the arena; every build,
-//! reduction and circuit application runs sequentially on one arena.
+//! Both are plain single-map tables owned by the arena, hashed with
+//! [`FxHashMap`]; every build, reduction and circuit application runs
+//! sequentially on one arena, and no probe of either table allocates.
 //!
 //! [`DdArena::intern`] applies the reduction rules of the paper's §4.3 on
 //! the fly: weights within the tolerance of zero become explicit zero edges
@@ -26,9 +27,9 @@
 //!
 //! [`StateDd`]: crate::StateDd
 
-use std::collections::HashMap;
 use std::fmt;
 
+use mdq_num::hash::FxHashMap;
 use mdq_num::{Complex, ComplexTable, ComplexTableStats, Tolerance};
 
 use crate::node::{Edge, Node, NodeId, NodeRef};
@@ -69,6 +70,8 @@ pub struct DdArena {
     nodes: Vec<Node>,
     unique: UniqueTable,
     weights: ComplexTable,
+    /// Scratch for [`DdArena::intern`]'s signature probe.
+    signature: NodeSignature,
 }
 
 impl DdArena {
@@ -89,6 +92,7 @@ impl DdArena {
             nodes: Vec::new(),
             unique: UniqueTable::new(),
             weights: ComplexTable::new(tolerance),
+            signature: NodeSignature::new(),
         }
     }
 
@@ -195,42 +199,43 @@ impl DdArena {
     /// already-normalized nodes — e.g. a reduction pass — may use it
     /// directly.
     ///
+    /// `edges` is canonicalized in place and, when the node is new, becomes
+    /// its edge list; the signature probe runs on a reused scratch buffer,
+    /// so only a new node allocates (its table key).
+    ///
     /// # Errors
     ///
     /// Returns [`ArenaOverflow`] when the node limit is reached.
-    pub fn intern(&mut self, level: usize, edges: Vec<Edge>) -> Result<NodeRef, ArenaOverflow> {
+    pub fn intern(&mut self, level: usize, mut edges: Vec<Edge>) -> Result<NodeRef, ArenaOverflow> {
         let tol = self.tolerance.value();
-        let mut canon: Vec<Edge> = Vec::with_capacity(edges.len());
-        let mut parts: Vec<(u32, NodeRef)> = Vec::with_capacity(edges.len());
-        let mut all_zero = true;
-        for e in edges {
-            if e.is_zero(tol) {
-                let zero_id = self.weights.insert(Complex::ZERO);
-                parts.push((zero_id.index() as u32, NodeRef::Terminal));
-                canon.push(Edge::ZERO);
+        let level_slot = u32::try_from(level).expect("diagram levels fit in u32");
+        self.signature.clear();
+        self.signature.push((level_slot, NodeRef::Terminal));
+        let mut live = false;
+        for e in &mut edges {
+            let zero = e.is_zero(tol);
+            let id = self
+                .weights
+                .insert(if zero { Complex::ZERO } else { e.weight });
+            // Canonicalization may fold a borderline weight onto the zero
+            // representative; treat it as a zero edge then.
+            let target = if zero || self.weights.value(id).is_zero(tol) {
+                *e = Edge::ZERO;
+                NodeRef::Terminal
             } else {
-                all_zero = false;
-                let weight_id = self.weights.insert(e.weight);
-                // Canonicalization may fold a borderline weight onto the
-                // zero representative; treat it as a zero edge then.
-                if self.weights.value(weight_id).is_zero(tol) {
-                    canon.push(Edge::ZERO);
-                    parts.push((weight_id.index() as u32, NodeRef::Terminal));
-                    continue;
-                }
-                parts.push((weight_id.index() as u32, e.target));
-                canon.push(e);
-            }
+                live = true;
+                e.target
+            };
+            self.signature.push((id.index() as u32, target));
         }
-        if all_zero || canon.iter().all(|e| e.is_zero(tol)) {
+        if !live {
             return Ok(NodeRef::Terminal);
         }
-        let signature: NodeSignature = (level, parts);
-        if let Some(existing) = self.unique.get(&signature) {
+        if let Some(existing) = self.unique.get(&self.signature) {
             return Ok(NodeRef::Node(existing));
         }
-        let id = self.push(Node::new(level, canon))?;
-        self.unique.insert(signature, id);
+        let id = self.push(Node::new(level, edges))?;
+        self.unique.insert(self.signature.clone(), id);
         Ok(NodeRef::Node(id))
     }
 
@@ -319,9 +324,12 @@ impl DdArena {
 pub struct ComputeCache {
     /// Transform memo of [`StateDd::apply`](crate::StateDd::apply):
     /// `(source node, pending-control index) → transformed edge`.
-    pub(crate) rec: HashMap<(NodeId, usize), Edge>,
+    pub(crate) rec: FxHashMap<(NodeId, usize), Edge>,
     /// Weighted-sum memo: sorted `(weight bits, target)` terms → summed edge.
-    pub(crate) sum: HashMap<Vec<(u64, u64, NodeRef)>, Edge>,
+    pub(crate) sum: FxHashMap<Vec<(u64, u64, NodeRef)>, Edge>,
+    /// Scratch key for probing `sum` as a borrowed slice; only a miss
+    /// copies it into the memo.
+    pub(crate) sum_key: Vec<(u64, u64, NodeRef)>,
 }
 
 impl ComputeCache {

@@ -10,7 +10,7 @@
 //! on the rank that is tight for states whose distinct subtrees are linearly
 //! independent (all the benchmark families).
 
-use std::collections::HashSet;
+use mdq_num::hash::FxHashSet;
 
 use crate::node::NodeRef;
 use crate::StateDd;
@@ -48,13 +48,13 @@ impl StateDd {
         let n = self.dims().len();
         let tol = self.tolerance().value();
         // Reachable nodes per level.
-        let mut reachable: Vec<HashSet<usize>> = vec![HashSet::new(); n];
+        let mut reachable: Vec<FxHashSet<usize>> = vec![FxHashSet::default(); n];
         let mut stack: Vec<usize> = Vec::new();
         if let (_, NodeRef::Node(root)) = self.root() {
             stack.push(root.index());
             reachable[self.node(root).level()].insert(root.index());
         }
-        let mut seen: HashSet<usize> = stack.iter().copied().collect();
+        let mut seen: FxHashSet<usize> = stack.iter().copied().collect();
         while let Some(idx) = stack.pop() {
             for edge in self.nodes()[idx].edges() {
                 if edge.is_zero(tol) {

@@ -1,8 +1,7 @@
 //! Amplitude queries, dense reconstruction, inner products, contributions,
 //! and sampling.
 
-use std::collections::HashMap;
-
+use mdq_num::hash::FxHashMap;
 use mdq_num::Complex;
 
 use crate::node::NodeRef;
@@ -113,7 +112,7 @@ impl StateDd {
             self.dims, other.dims,
             "inner product of states over different registers"
         );
-        let mut memo: HashMap<(NodeRef, NodeRef), Complex> = HashMap::new();
+        let mut memo: FxHashMap<(NodeRef, NodeRef), Complex> = FxHashMap::default();
         let ip = self.ip(self.root, other, other.root, &mut memo);
         self.root_weight.conj() * other.root_weight * ip
     }
@@ -123,7 +122,7 @@ impl StateDd {
         a: NodeRef,
         other: &StateDd,
         b: NodeRef,
-        memo: &mut HashMap<(NodeRef, NodeRef), Complex>,
+        memo: &mut FxHashMap<(NodeRef, NodeRef), Complex>,
     ) -> Complex {
         match (a, b) {
             (NodeRef::Terminal, NodeRef::Terminal) => Complex::ONE,

@@ -1,6 +1,6 @@
 //! The unique table: the hash-consing index of a [`DdArena`].
 //!
-//! Each arena owns exactly one [`UniqueTable`], a single hash map from
+//! Each arena owns exactly one [`UniqueTable`], a single [`FxHashMap`] from
 //! structural signature to node. Every canonical node is registered here
 //! under its signature — level plus the `(canonical weight id, successor)`
 //! pair of every edge. Interning a node whose signature is already present
@@ -12,21 +12,31 @@
 //! Weight components of the signature are [`CanonicalId`]s from the arena's
 //! tolerance-bucketed [`ComplexTable`](mdq_num::ComplexTable), so subtrees
 //! that are equal only up to the diagram tolerance still collide on the same
-//! signature and merge.
+//! signature and merge. That is also why the table owns each signature as
+//! its key instead of hashing a node's stored edges: nodes keep their raw
+//! weights, and two raw weights within tolerance share one id only through
+//! the weight table.
+//!
+//! Probes allocate nothing. [`DdArena::intern`] writes each candidate's
+//! signature into one reused scratch buffer and looks it up as a borrowed
+//! slice (`Vec<T>: Borrow<[T]>`, and both hash alike); only a miss copies
+//! the buffer into the table as the new node's key.
 //!
 //! [`DdArena`]: crate::DdArena
+//! [`DdArena::intern`]: crate::DdArena::intern
 //! [`CanonicalId`]: mdq_num::CanonicalId
 
-use std::collections::HashMap;
+use mdq_num::hash::FxHashMap;
 
 use crate::node::{NodeId, NodeRef};
 
-/// Structural signature of a canonical node: its level and, per edge, the
-/// canonical id of the weight together with the successor reference.
+/// Structural signature of a canonical node: slot 0 holds
+/// `(level, Terminal)`, then one slot per edge holds the canonical id of
+/// the weight together with the successor reference.
 ///
 /// Zero edges are represented as `(id of 0, Terminal)`, so two nodes that
 /// differ only in how their zero branches were produced share a signature.
-pub type NodeSignature = (usize, Vec<(u32, NodeRef)>);
+pub type NodeSignature = Vec<(u32, NodeRef)>;
 
 /// Hash-consing index mapping [`NodeSignature`]s to interned [`NodeId`]s.
 ///
@@ -35,7 +45,7 @@ pub type NodeSignature = (usize, Vec<(u32, NodeRef)>);
 /// it entirely.
 #[derive(Debug, Clone, Default)]
 pub struct UniqueTable {
-    map: HashMap<NodeSignature, NodeId>,
+    map: FxHashMap<NodeSignature, NodeId>,
 }
 
 impl UniqueTable {
@@ -64,9 +74,10 @@ impl UniqueTable {
         self.map.clear();
     }
 
-    /// Looks up the node interned under `signature`, if any.
+    /// Looks up the node interned under `signature`, if any. The signature
+    /// is borrowed, so a probe needs no owned [`NodeSignature`].
     #[must_use]
-    pub fn get(&self, signature: &NodeSignature) -> Option<NodeId> {
+    pub fn get(&self, signature: &[(u32, NodeRef)]) -> Option<NodeId> {
         self.map.get(signature).copied()
     }
 
@@ -82,8 +93,10 @@ impl UniqueTable {
 mod tests {
     use super::*;
 
-    fn sig(level: usize, parts: &[(u32, NodeRef)]) -> NodeSignature {
-        (level, parts.to_vec())
+    fn sig(level: u32, parts: &[(u32, NodeRef)]) -> NodeSignature {
+        let mut signature = vec![(level, NodeRef::Terminal)];
+        signature.extend_from_slice(parts);
+        signature
     }
 
     #[test]

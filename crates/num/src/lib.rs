@@ -15,7 +15,8 @@
 //!   canonicalizes every edge weight through it.
 //! * [`hash`] — the stable 64-bit FNV-1a hash behind every persisted or
 //!   transmitted hash value in the workspace (cache fingerprints, ring
-//!   points, envelope checksums).
+//!   points, envelope checksums), and the fast Fx hasher behind the
+//!   process-local decision-diagram tables.
 //! * [`radix`] — mixed-radix index arithmetic for Hilbert spaces that are
 //!   tensor products of different local dimensions, including the
 //!   unreduced-tree edge-count formula behind the "Nodes" metric.

@@ -1,8 +1,19 @@
 //! A tolerance-bucketed canonical store for complex numbers.
+//!
+//! Values live in one `Vec`; two [`FxHashMap`]s index them. The exact map
+//! keys on raw bit patterns. The bucket map keys on grid cells and holds
+//! each cell's *oldest* entry; the rest of the cell is an intrusive chain
+//! through a parallel `next` array, in insertion order. A probe therefore
+//! allocates nothing, and a new value costs one `u32` instead of a
+//! per-cell `Vec`.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
 
+use crate::hash::FxHashMap;
 use crate::{Complex, Tolerance};
+
+/// End-of-chain marker in [`ComplexTable`]'s bucket chains.
+const NIL: u32 = u32::MAX;
 
 /// Identifier of a canonical complex value inside a [`ComplexTable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -44,7 +55,10 @@ pub struct ComplexTableStats {
 /// entries is the paper's "DistinctC" column. Lookup buckets each value onto a
 /// grid of cell size `tolerance` and probes the 3×3 neighbourhood, so two
 /// values within `tolerance` of each other (in each component) map to the
-/// same canonical entry regardless of insertion order.
+/// same canonical entry regardless of insertion order. When several stored
+/// values lie within `tolerance` of a query, the first one met wins: cells
+/// are probed row by row from `(cx − 1, cy − 1)` to `(cx + 1, cy + 1)`, and
+/// each cell's entries in insertion order.
 ///
 /// # Examples
 ///
@@ -63,11 +77,14 @@ pub struct ComplexTableStats {
 pub struct ComplexTable {
     tolerance: Tolerance,
     values: Vec<Complex>,
-    buckets: HashMap<(i64, i64), Vec<u32>>,
+    /// Grid cell → its first-inserted entry.
+    heads: FxHashMap<(i64, i64), u32>,
+    /// Per entry, the next entry of the same cell ([`NIL`] at the end).
+    next: Vec<u32>,
     /// Exact-bit-pattern fast path: hash-consing workloads insert the same
     /// handful of weights (0, 1, 1/√d, …) millions of times, and an exact
     /// hit skips the 3×3 bucket probe entirely.
-    exact: HashMap<(u64, u64), u32>,
+    exact: FxHashMap<(u64, u64), u32>,
     lookups: u64,
     insertions: u64,
     exact_hits: u64,
@@ -80,8 +97,9 @@ impl ComplexTable {
         Self {
             tolerance,
             values: Vec::new(),
-            buckets: HashMap::new(),
-            exact: HashMap::new(),
+            heads: FxHashMap::default(),
+            next: Vec::new(),
+            exact: FxHashMap::default(),
             lookups: 0,
             insertions: 0,
             exact_hits: 0,
@@ -94,7 +112,8 @@ impl ComplexTable {
     /// The cumulative [`ComplexTableStats`] counters are *not* reset.
     pub fn clear(&mut self) {
         self.values.clear();
-        self.buckets.clear();
+        self.heads.clear();
+        self.next.clear();
         self.exact.clear();
     }
 
@@ -153,10 +172,24 @@ impl ComplexTable {
         let id = match self.lookup(v) {
             Some(id) => id,
             None => {
-                let id = u32::try_from(self.values.len()).expect("complex table overflow");
+                let id = u32::try_from(self.values.len())
+                    .ok()
+                    .filter(|&id| id != NIL)
+                    .expect("complex table overflow");
                 self.values.push(v);
-                let cell = self.cell(v);
-                self.buckets.entry(cell).or_default().push(id);
+                self.next.push(NIL);
+                match self.heads.entry(self.cell(v)) {
+                    Entry::Vacant(cell) => {
+                        cell.insert(id);
+                    }
+                    Entry::Occupied(cell) => {
+                        let mut last = *cell.get();
+                        while self.next[last as usize] != NIL {
+                            last = self.next[last as usize];
+                        }
+                        self.next[last as usize] = id;
+                    }
+                }
                 self.insertions += 1;
                 CanonicalId(id)
             }
@@ -180,13 +213,13 @@ impl ComplexTable {
         let tol = self.tolerance.value();
         for dx in -1..=1 {
             for dy in -1..=1 {
-                if let Some(ids) = self.buckets.get(&(cx + dx, cy + dy)) {
-                    for &id in ids {
-                        let w = self.values[id as usize];
-                        if (w.re - v.re).abs() <= tol && (w.im - v.im).abs() <= tol {
-                            return Some(CanonicalId(id));
-                        }
+                let mut id = self.heads.get(&(cx + dx, cy + dy)).copied().unwrap_or(NIL);
+                while id != NIL {
+                    let w = self.values[id as usize];
+                    if (w.re - v.re).abs() <= tol && (w.im - v.im).abs() <= tol {
+                        return Some(CanonicalId(id));
                     }
+                    id = self.next[id as usize];
                 }
             }
         }
@@ -379,6 +412,71 @@ mod tests {
         let a = t.insert(Complex::new(1.0, 0.0));
         let b = t.insert(Complex::new(1.0 + 1e-6, 0.0));
         assert_eq!(a, b);
+    }
+
+    /// Four values sharing grid cell (5, 5) at tolerance 1e-3, pairwise
+    /// more than the tolerance apart (so all four are stored), and a query
+    /// within tolerance of every one of them.
+    const CORNERS: [Complex; 4] = [
+        Complex::new(0.0102, 0.0102),
+        Complex::new(0.0118, 0.0102),
+        Complex::new(0.0102, 0.0118),
+        Complex::new(0.0118, 0.0118),
+    ];
+    const CENTRE: Complex = Complex::new(0.011, 0.011);
+
+    fn corner_table(order: &[usize]) -> ComplexTable {
+        let mut t = ComplexTable::new(Tolerance::new(1e-3));
+        for (k, &i) in order.iter().enumerate() {
+            assert_eq!(t.insert(CORNERS[i]).index(), k);
+        }
+        t
+    }
+
+    #[test]
+    fn a_shared_cell_answers_its_first_inserted_match() {
+        for order in [[0, 1, 2, 3], [3, 2, 1, 0], [2, 0, 3, 1], [1, 3, 0, 2]] {
+            let mut t = corner_table(&order);
+            assert_eq!(t.lookup(CENTRE).map(CanonicalId::index), Some(0));
+            assert_eq!(t.insert(CENTRE).index(), 0);
+            assert_eq!(t.canonicalize(CENTRE), CORNERS[order[0]]);
+            assert_eq!(t.len(), 4);
+        }
+    }
+
+    #[test]
+    fn neighbouring_cells_answer_in_probe_order() {
+        // 0.0095 sits in cell 4, 0.011 and the query 0.0102 in cell 5; the
+        // query is within tolerance of both. The lower cell is probed first,
+        // so it wins even though its value was inserted second.
+        let mut t = ComplexTable::new(Tolerance::new(1e-3));
+        let high = t.insert(Complex::real(0.011));
+        let low = t.insert(Complex::real(0.0095));
+        assert_ne!(high, low);
+        assert_eq!(t.lookup(Complex::real(0.0102)), Some(low));
+        assert_eq!(t.insert(Complex::real(0.0102)), low);
+    }
+
+    #[test]
+    fn clear_and_reset_leave_no_stale_chain() {
+        let mut t = corner_table(&[0, 1, 2, 3]);
+        t.clear();
+        assert_eq!(t.lookup(CENTRE), None);
+        for &i in &[3, 2] {
+            t.insert(CORNERS[i]);
+        }
+        // Ids restart at 0, and the cell's chain holds only the new values.
+        assert_eq!(t.lookup(CENTRE).map(CanonicalId::index), Some(0));
+        assert_eq!(t.value(CanonicalId(0)), CORNERS[3]);
+        assert_eq!(t.lookup(CORNERS[0]), None);
+        assert_eq!(t.insert(CORNERS[0]).index(), 2);
+        assert_eq!(t.len(), 3);
+
+        t.reset(Tolerance::new(1e-3));
+        assert_eq!(t.lookup(CENTRE), None);
+        assert_eq!(t.insert(CORNERS[1]).index(), 0);
+        assert_eq!(t.insert(CENTRE).index(), 0);
+        assert_eq!(t.len(), 1);
     }
 
     #[test]
