@@ -1219,42 +1219,33 @@ mod tests {
             .unwrap();
         warm.recycle(result);
 
+        let same = |hot: VerificationReport, cold: VerificationReport| {
+            assert_eq!(hot.fidelity.to_bits(), cold.fidelity.to_bits());
+            assert_eq!(hot.replay_nodes, cold.replay_nodes);
+        };
         let d = dims(&[4, 7, 4, 4, 3, 5]);
         let target = random_state(&d, RandomKind::ReImUniform, &mut rng);
         for opts in [PrepareOptions::exact(), PrepareOptions::approximated(0.98)] {
             let mut fresh = Preparer::new();
             let hot = warm.prepare(&d, &target, opts).unwrap();
             let cold = fresh.prepare(&d, &target, opts).unwrap();
-            let hot_report = warm.verify_dense(&hot.circuit, &target).unwrap();
-            let cold_report = fresh.verify_dense(&cold.circuit, &target).unwrap();
-            assert_eq!(
-                hot_report.fidelity.to_bits(),
-                cold_report.fidelity.to_bits()
+            same(
+                warm.verify_dense(&hot.circuit, &target).unwrap(),
+                fresh.verify_dense(&cold.circuit, &target).unwrap(),
             );
-            assert_eq!(hot_report.replay_nodes, cold_report.replay_nodes);
             warm.recycle(hot);
         }
-
         let wide = dims(&(0..20).map(|i| 2 + i % 4).collect::<Vec<_>>());
         let w = mdq_states::sparse::w_state(&wide);
         let mut fresh = Preparer::new();
-        let hot = warm
-            .prepare_sparse(&wide, &w, PrepareOptions::exact())
-            .unwrap();
-        let cold = fresh
-            .prepare_sparse(&wide, &w, PrepareOptions::exact())
-            .unwrap();
-        let hot_report = warm
-            .verify_sparse(&hot.circuit, &w, Tolerance::default())
-            .unwrap();
-        let cold_report = fresh
-            .verify_sparse(&cold.circuit, &w, Tolerance::default())
-            .unwrap();
-        assert_eq!(
-            hot_report.fidelity.to_bits(),
-            cold_report.fidelity.to_bits()
+        let opts = PrepareOptions::exact();
+        let hot = warm.prepare_sparse(&wide, &w, opts).unwrap();
+        let cold = fresh.prepare_sparse(&wide, &w, opts).unwrap();
+        let tol = Tolerance::default();
+        same(
+            warm.verify_sparse(&hot.circuit, &w, tol).unwrap(),
+            fresh.verify_sparse(&cold.circuit, &w, tol).unwrap(),
         );
-        assert_eq!(hot_report.replay_nodes, cold_report.replay_nodes);
     }
 
     #[test]
