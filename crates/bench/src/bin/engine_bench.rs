@@ -1,5 +1,5 @@
-//! Throughput/latency benchmark for the `mdq-engine` batch-preparation
-//! engine, emitting `BENCH_engine.json` so the engine has a perf trajectory
+//! Throughput/latency benchmark for the `mdq-engine` preparation
+//! service, emitting `BENCH_engine.json` so the engine has a perf trajectory
 //! to compare against.
 //!
 //! Run with: `cargo run -p mdq-bench --release --bin engine_bench`
@@ -84,7 +84,7 @@ use std::time::{Duration, Instant};
 use mdq_bench::{dims3, dims4, flag_value};
 use mdq_core::{PrepareOptions, VerificationPolicy};
 use mdq_engine::{
-    Aging, BatchEngine, EngineConfig, EngineService, JobHandle, PrepareRequest, SchedulingPolicy,
+    Aging, EngineConfig, EngineService, JobHandle, PrepareReport, PrepareRequest, SchedulingPolicy,
 };
 use mdq_num::radix::Dims;
 use mdq_states::{ghz, random_state, w_state, RandomKind};
@@ -161,14 +161,12 @@ fn main() {
 
     let mut cold_runs = Vec::new();
     for &workers in worker_counts {
-        let engine = BatchEngine::new(EngineConfig::default().with_workers(workers));
+        let service = EngineService::new(EngineConfig::default().with_workers(workers));
         let t = Instant::now();
-        let results = engine.run(&requests);
+        let results = serve_batch(&service, &requests);
         let wall = t.elapsed();
-        let mut latencies: Vec<Duration> = results
-            .iter()
-            .map(|r| r.as_ref().expect("job succeeds").elapsed)
-            .collect();
+        service.shutdown();
+        let mut latencies: Vec<Duration> = results.iter().map(|r| r.elapsed).collect();
         latencies.sort_unstable();
         let run = ColdRun {
             workers,
@@ -186,25 +184,23 @@ fn main() {
         cold_runs.push(run);
     }
 
-    // Warm resubmission: same engine, same batch, twice — the second pass is
-    // served entirely from the fingerprint cache and must be bit-identical.
-    let engine =
-        BatchEngine::new(EngineConfig::default().with_workers(*worker_counts.last().unwrap()));
-    let cold = engine.run(&requests);
+    // Warm resubmission: same service, same batch, twice — the second pass
+    // is served entirely from the fingerprint cache and must be
+    // bit-identical.
+    let service =
+        EngineService::new(EngineConfig::default().with_workers(*worker_counts.last().unwrap()));
+    let cold = serve_batch(&service, &requests);
     let t = Instant::now();
-    let warm = engine.run(&requests);
+    let warm = serve_batch(&service, &requests);
     let warm_wall = t.elapsed();
     let mut identical = true;
     let mut warm_hits = 0u64;
     for (c, w) in cold.iter().zip(&warm) {
-        let (c, w) = (
-            c.as_ref().expect("cold job succeeds"),
-            w.as_ref().expect("warm job succeeds"),
-        );
         identical &= c.circuit == w.circuit;
         warm_hits += u64::from(w.from_cache);
     }
-    let stats = engine.stats();
+    let stats = service.stats();
+    service.shutdown();
     let warm_jobs_per_sec = requests.len() as f64 / warm_wall.as_secs_f64();
     println!(
         "{:<28} {:>12.1} jobs/s   {} hits / {} jobs, bit-identical: {}",
@@ -439,11 +435,14 @@ fn main() {
             .map(|r| r.with_verification(VerificationPolicy::replay(0.95)))
             .collect();
         let run_once = |requests: &[PrepareRequest]| -> Duration {
-            let engine = BatchEngine::new(EngineConfig::default().with_workers(1).without_cache());
-            (0..3)
-                .flat_map(|_| engine.run(requests))
-                .map(|result| result.expect("verification workload succeeds").elapsed)
-                .sum()
+            let service =
+                EngineService::new(EngineConfig::default().with_workers(1).without_cache());
+            let serving: Duration = (0..3)
+                .flat_map(|_| serve_batch(&service, requests))
+                .map(|report| report.elapsed)
+                .sum();
+            service.shutdown();
+            serving
         };
         let (mut plain, mut verified) = (Duration::MAX, Duration::MAX);
         let mut overhead = f64::INFINITY;
@@ -1211,6 +1210,16 @@ fn mixed_workload(jobs: usize) -> Vec<PrepareRequest> {
         requests.push(request);
     }
     requests
+}
+
+/// Submits the batch and waits on every handle, returning the reports in
+/// request order.
+fn serve_batch(service: &EngineService, requests: &[PrepareRequest]) -> Vec<PrepareReport> {
+    service
+        .submit_batch(requests.iter().cloned())
+        .into_iter()
+        .map(|handle| handle.wait().expect("benchmark job succeeds"))
+        .collect()
 }
 
 fn percentile_us(sorted: &[Duration], q: f64) -> f64 {

@@ -14,7 +14,7 @@
 //!   state vector → decision diagram → (optional) approximation →
 //!   synthesized circuit, with a [`SynthesisReport`] carrying exactly the
 //!   metrics of Table 1 (Nodes, DistinctC, Operations, #Controls, Time).
-//! * [`Preparer`] — the reusable pipeline object behind the batch engine:
+//! * [`Preparer`] — the reusable pipeline object behind the engine service:
 //!   it owns per-worker scratch (a resettable arena and compute cache)
 //!   recycled across jobs, with [`prepare`] and friends as thin one-shot
 //!   wrappers producing bit-identical circuits.

@@ -658,7 +658,7 @@ impl StateDd {
 
     /// [`StateDd::apply_circuit`] with a caller-provided [`ComputeCache`],
     /// so a worker replaying many circuits (e.g. verification jobs in the
-    /// batch engine) reuses one set of memo tables across all of them.
+    /// engine service) reuses one set of memo tables across all of them.
     ///
     /// # Errors
     ///

@@ -20,7 +20,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use mdq_circuit::Circuit;
 use mdq_core::{Direction, ProductRule, SynthesisReport, VerificationReport};
@@ -32,30 +31,20 @@ use crate::request::{PrepareRequest, StatePayload};
 /// Hit/miss/occupancy counters of a [`CircuitCache`].
 ///
 /// All counters except `entries` are **cumulative** over the cache's
-/// lifetime: they keep counting across [`CircuitCache::clear`] and only go
-/// back to zero via [`CircuitCache::reset_stats`]. `entries` is **current**
-/// occupancy, recounted on every [`CircuitCache::stats`] call; the
-/// lock-free [`CircuitCache::stats_snapshot`] reads a maintained counter
-/// instead.
+/// lifetime: they keep counting across [`CircuitCache::clear`]. `entries`
+/// is **current** occupancy, maintained under the owning shard's lock on
+/// every insert, eviction and clear.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (cumulative; includes hot-tier
-    /// hits).
+    /// Lookups answered from the cache (cumulative).
     pub hits: u64,
     /// Lookups that fell through to a full pipeline run (cumulative).
     pub misses: u64,
-    /// Prepared circuits currently stored in the writable shards (current;
-    /// does not count the read-only hot tier).
+    /// Prepared circuits currently stored (current).
     pub entries: usize,
     /// Entries discarded by the per-shard LRU bound (cumulative; 0 on an
     /// unbounded cache).
     pub evictions: u64,
-    /// Entries dropped because they outlived the cache TTL (cumulative; 0
-    /// on a cache without a TTL).
-    pub expirations: u64,
-    /// The subset of `hits` answered by the shared read-mostly hot tier
-    /// rather than a writable shard (cumulative).
-    pub hot_hits: u64,
 }
 
 /// A cached preparation: the synthesized circuit, its metrics, and — when
@@ -236,9 +225,6 @@ struct Entry {
     /// Shard tick of the last `get`/`insert` touching this entry — the
     /// LRU victim is the entry with the smallest stamp.
     last_used: u64,
-    /// Wall-clock insertion epoch; against the cache TTL this bounds how
-    /// long an entry may keep being served.
-    inserted: Instant,
 }
 
 /// One independently locked shard: fingerprint → entries sharing that
@@ -275,24 +261,6 @@ impl Shard {
             self.len -= 1;
         }
     }
-
-    /// Drops every entry whose age at `now` has reached `ttl`, returning
-    /// how many were removed.
-    fn sweep_expired(&mut self, ttl: Duration, now: Instant) -> u64 {
-        let mut dropped = 0u64;
-        self.map.retain(|_, bucket| {
-            bucket.retain(|entry| {
-                let live = now.saturating_duration_since(entry.inserted) < ttl;
-                if !live {
-                    dropped += 1;
-                }
-                live
-            });
-            !bucket.is_empty()
-        });
-        self.len -= dropped as usize;
-        dropped
-    }
 }
 
 /// The sharded, fingerprint-keyed prepared-circuit store; see the
@@ -304,19 +272,13 @@ pub struct CircuitCache {
     mask: u64,
     /// Per-shard entry bound; `None` is unbounded.
     shard_capacity: Option<usize>,
-    /// Maximum entry age; `None` means entries never expire.
-    ttl: Option<Duration>,
-    /// Shared read-mostly tier consulted on per-shard miss.
-    hot: Option<Arc<HotTier>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    expirations: AtomicU64,
-    hot_hits: AtomicU64,
     /// Maintained mirror of the summed per-shard `len`s, updated under the
-    /// owning shard's lock on every insert/evict/expire/clear — lets
-    /// [`CircuitCache::stats_snapshot`] report occupancy without walking
-    /// (and locking) every shard.
+    /// owning shard's lock on every insert/evict/clear — lets
+    /// [`CircuitCache::stats`] report occupancy without walking (and
+    /// locking) every shard.
     entries: AtomicUsize,
 }
 
@@ -344,37 +306,11 @@ impl CircuitCache {
             shards: (0..count).map(|_| Mutex::new(Shard::default())).collect(),
             mask: (count - 1) as u64,
             shard_capacity,
-            ttl: None,
-            hot: None,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            expirations: AtomicU64::new(0),
-            hot_hits: AtomicU64::new(0),
             entries: AtomicUsize::new(0),
         }
-    }
-
-    /// Bounds the age of stored entries: an entry whose age reaches `ttl`
-    /// stops being served and is dropped lazily — by the lookup that
-    /// matches it, by the whole-shard sweep that runs before every insert's
-    /// capacity check, or by an explicit [`CircuitCache::expire`]. `None`
-    /// (the default) disables expiry. The shared hot tier is immutable and
-    /// never expires — TTL governs the writable shards only.
-    #[must_use]
-    pub fn with_ttl(mut self, ttl: Option<Duration>) -> Self {
-        self.ttl = ttl;
-        self
-    }
-
-    /// Attaches a shared read-mostly [`HotTier`] consulted when a
-    /// per-shard lookup misses, before the caller falls through to a full
-    /// pipeline run. Several caches (one per engine instance) may share
-    /// one tier — it is immutable, so lookups take no lock.
-    #[must_use]
-    pub fn with_hot_tier(mut self, tier: Option<Arc<HotTier>>) -> Self {
-        self.hot = tier;
-        self
     }
 
     fn shard(&self, fingerprint: u64) -> &Mutex<Shard> {
@@ -397,58 +333,26 @@ impl CircuitCache {
         key: &CanonicalKey,
         require_verified: bool,
     ) -> Option<Arc<CachedPreparation>> {
-        let now = self.ttl.map(|_| Instant::now());
         let mut shard = self
             .shard(fingerprint)
             .lock()
             .expect("cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
-        // Expiry on the lookup path is O(1): only the entry this lookup
-        // matches is age-checked. Whole-shard sweeps happen on insert and
-        // on explicit `expire`.
-        let mut expired = false;
         let found = shard.map.get_mut(&fingerprint).and_then(|bucket| {
-            let index = bucket.iter().position(|e| {
-                e.key == *key && !(require_verified && e.value.verification.is_none())
-            })?;
-            if let (Some(ttl), Some(now)) = (self.ttl, now) {
-                if now.saturating_duration_since(bucket[index].inserted) >= ttl {
-                    bucket.remove(index);
-                    expired = true;
-                    return None;
-                }
-            }
-            let entry = &mut bucket[index];
+            let entry = bucket
+                .iter_mut()
+                .find(|e| e.key == *key && !(require_verified && e.value.verification.is_none()))?;
             entry.last_used = tick;
             Some(Arc::clone(&entry.value))
         });
-        if expired {
-            shard.len -= 1;
-            self.entries.fetch_sub(1, Ordering::Relaxed);
-            if shard.map.get(&fingerprint).is_some_and(Vec::is_empty) {
-                shard.map.remove(&fingerprint);
-            }
-        }
         drop(shard);
-        if expired {
-            self.expirations.fetch_add(1, Ordering::Relaxed);
-        }
         if found.is_some() {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return found;
+        } else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
         }
-        // Per-shard miss: consult the shared read-mostly tier before
-        // reporting a miss to the pipeline.
-        if let Some(hot) = &self.hot {
-            if let Some(value) = hot.get(fingerprint, key, require_verified) {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.hot_hits.fetch_add(1, Ordering::Relaxed);
-                return Some(value);
-            }
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        None
+        found
     }
 
     /// Stores a preparation under its key, evicting the shard's
@@ -463,22 +367,10 @@ impl CircuitCache {
         key: CanonicalKey,
         value: Arc<CachedPreparation>,
     ) {
-        let now = Instant::now();
         let mut shard = self
             .shard(fingerprint)
             .lock()
             .expect("cache shard poisoned");
-        // Lazy TTL sweep: expired entries are cleared before the
-        // duplicate-key check (so a stale entry never blocks its own
-        // replacement) and before the capacity check (so expiry frees
-        // slots ahead of LRU eviction).
-        if let Some(ttl) = self.ttl {
-            let dropped = shard.sweep_expired(ttl, now);
-            if dropped > 0 {
-                self.expirations.fetch_add(dropped, Ordering::Relaxed);
-                self.entries.fetch_sub(dropped as usize, Ordering::Relaxed);
-            }
-        }
         if let Some(existing) = shard
             .map
             .get_mut(&fingerprint)
@@ -486,8 +378,6 @@ impl CircuitCache {
         {
             if existing.value.verification.is_none() && value.verification.is_some() {
                 existing.value = value;
-                // The verified value was just computed — its age restarts.
-                existing.inserted = now;
             }
             return;
         }
@@ -504,33 +394,19 @@ impl CircuitCache {
             key,
             value,
             last_used,
-            inserted: now,
         });
         shard.len += 1;
         self.entries.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Drops every entry whose age at `now` has reached the cache TTL,
-    /// returning how many were removed; a no-op (returning 0) on a cache
-    /// without a TTL. Complements the lazy per-access sweeps for callers
-    /// that want expiry on their own schedule (e.g. a maintenance tick).
-    pub fn expire(&self, now: Instant) -> u64 {
-        let Some(ttl) = self.ttl else { return 0 };
-        let mut total = 0;
-        for shard in &self.shards {
-            let mut shard = shard.lock().expect("cache shard poisoned");
-            total += shard.sweep_expired(ttl, now);
-        }
-        if total > 0 {
-            self.expirations.fetch_add(total, Ordering::Relaxed);
-            self.entries.fetch_sub(total as usize, Ordering::Relaxed);
-        }
-        total
-    }
-
     /// Cache counters; see [`CacheStats`] for which are cumulative
-    /// (`hits`, `misses`, `evictions`, `expirations`, `hot_hits`) and
-    /// which are current (`entries`).
+    /// (`hits`, `misses`, `evictions`) and which are current (`entries`).
+    ///
+    /// Lock-free: every field is read from a maintained atomic, so an
+    /// aggregator polling many caches never contends with serving workers.
+    /// The fields are loaded one by one, so counters mutated concurrently
+    /// may be mutually inconsistent by a few operations; quiesced, they
+    /// are exact.
     #[must_use]
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -538,48 +414,14 @@ impl CircuitCache {
             misses: self.misses.load(Ordering::Relaxed),
             entries: self.len(),
             evictions: self.evictions.load(Ordering::Relaxed),
-            expirations: self.expirations.load(Ordering::Relaxed),
-            hot_hits: self.hot_hits.load(Ordering::Relaxed),
         }
     }
 
-    /// Lock-free point-in-time [`CacheStats`]: every field — including
-    /// `entries`, which [`CircuitCache::stats`] recounts by locking each
-    /// shard — is read from a maintained atomic, so an aggregator (the
-    /// router polling every shard's engine) never contends with serving
-    /// workers. The fields are loaded one by one, so counters mutated
-    /// concurrently may be mutually inconsistent by a few operations;
-    /// quiesced, it equals [`CircuitCache::stats`] exactly.
-    #[must_use]
-    pub fn stats_snapshot(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.entries.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            expirations: self.expirations.load(Ordering::Relaxed),
-            hot_hits: self.hot_hits.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Zeroes every cumulative counter (`hits`, `misses`, `evictions`,
-    /// `expirations`, `hot_hits`); stored entries are untouched. Lets a
-    /// warm-start benchmark separate snapshot-loaded hits from fresh ones.
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.expirations.store(0, Ordering::Relaxed);
-        self.hot_hits.store(0, Ordering::Relaxed);
-    }
-
-    /// Number of prepared circuits currently stored.
+    /// Number of prepared circuits currently stored (lock-free; see
+    /// [`CircuitCache::stats`]).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().expect("cache shard poisoned").len)
-            .sum()
+        self.entries.load(Ordering::Relaxed)
     }
 
     /// Whether the cache holds no circuits.
@@ -588,8 +430,7 @@ impl CircuitCache {
         self.len() == 0
     }
 
-    /// Drops every stored circuit (counters are kept; use
-    /// [`CircuitCache::reset_stats`] to zero them).
+    /// Drops every stored circuit; the cumulative counters keep counting.
     pub fn clear(&self) {
         for shard in &self.shards {
             let mut shard = shard.lock().expect("cache shard poisoned");
@@ -600,8 +441,8 @@ impl CircuitCache {
     }
 
     /// Clones out every stored entry with its fingerprint — the feed for
-    /// [`CircuitCache::freeze`] and snapshot saves. Shards are drained one
-    /// lock at a time, so concurrent inserts may or may not be included.
+    /// snapshot saves. Shards are drained one lock at a time, so
+    /// concurrent inserts may or may not be included.
     pub(crate) fn export(&self) -> CacheEntries {
         let mut out = Vec::new();
         for shard in &self.shards {
@@ -614,85 +455,11 @@ impl CircuitCache {
         }
         out
     }
-
-    /// Freezes the current contents into an immutable [`HotTier`] that
-    /// other engine instances in the same process can share via
-    /// [`CircuitCache::with_hot_tier`].
-    #[must_use]
-    pub fn freeze(&self) -> HotTier {
-        HotTier::from_entries(self.export())
-    }
 }
 
-/// `(fingerprint, key, value)` triples exchanged between the cache, the
-/// [`HotTier`], and snapshot load/save.
+/// `(fingerprint, key, value)` triples exchanged between the cache and
+/// snapshot load/save.
 pub(crate) type CacheEntries = Vec<(u64, CanonicalKey, Arc<CachedPreparation>)>;
-
-/// An immutable, read-mostly preparation tier shared between engine
-/// instances in one process.
-///
-/// The tier is consulted when a per-shard lookup misses, before the caller
-/// falls back to running the pipeline. Because it is frozen at
-/// construction, lookups take no lock and multiple caches can share one
-/// `Arc<HotTier>` without write contention — the exchange mechanism for
-/// hot entries between shards of a future front-end. Entries in the tier
-/// never expire (the writable shards' TTL does not apply) and are served
-/// under the same exact-key, `require_verified`-respecting rules as shard
-/// entries, so the bit-identity guarantee is unchanged.
-///
-/// Build one with [`CircuitCache::freeze`] (from a live cache) or
-/// [`crate::snapshot::load_hot_tier`] (from a snapshot file).
-#[derive(Debug, Default)]
-pub struct HotTier {
-    map: HashMap<u64, Vec<(CanonicalKey, Arc<CachedPreparation>)>>,
-    len: usize,
-}
-
-impl HotTier {
-    /// Builds a tier from `(fingerprint, key, value)` triples; duplicate
-    /// keys keep the first occurrence.
-    pub(crate) fn from_entries(entries: CacheEntries) -> Self {
-        let mut map: HashMap<u64, Vec<(CanonicalKey, Arc<CachedPreparation>)>> = HashMap::new();
-        let mut len = 0;
-        for (fingerprint, key, value) in entries {
-            let bucket = map.entry(fingerprint).or_default();
-            if bucket.iter().any(|entry| entry.0 == key) {
-                continue;
-            }
-            bucket.push((key, value));
-            len += 1;
-        }
-        HotTier { map, len }
-    }
-
-    /// Exact-key lookup under the same serving rules as
-    /// [`CircuitCache::get`]; the tier keeps no counters of its own — the
-    /// consulting cache counts the hit.
-    pub(crate) fn get(
-        &self,
-        fingerprint: u64,
-        key: &CanonicalKey,
-        require_verified: bool,
-    ) -> Option<Arc<CachedPreparation>> {
-        self.map
-            .get(&fingerprint)?
-            .iter()
-            .find(|entry| entry.0 == *key && !(require_verified && entry.1.verification.is_none()))
-            .map(|entry| Arc::clone(&entry.1))
-    }
-
-    /// Number of preparations held.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the tier holds no preparations.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -980,149 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_stats_zeroes_counters_but_keeps_entries() {
-        let cache = CircuitCache::new(1);
-        let (fp, key, value) = keyed_entry(0);
-        cache.get(fp, &key, false);
-        cache.insert(fp, key.clone(), value);
-        cache.get(fp, &key, false);
-        let before = cache.stats();
-        assert_eq!((before.hits, before.misses), (1, 1));
-        cache.reset_stats();
-        let after = cache.stats();
-        assert_eq!(
-            (
-                after.hits,
-                after.misses,
-                after.evictions,
-                after.expirations,
-                after.hot_hits
-            ),
-            (0, 0, 0, 0, 0)
-        );
-        assert_eq!(after.entries, 1, "entries are current, not a counter");
-        assert!(cache.get(fp, &key, false).is_some(), "entry still served");
-    }
-
-    #[test]
-    fn zero_ttl_expires_entries_on_lookup() {
-        // TTL 0 means every entry's age has already reached the bound —
-        // the lookup that matches it drops it and reports a miss.
-        let cache = CircuitCache::new(1).with_ttl(Some(Duration::ZERO));
-        let (fp, key, value) = keyed_entry(0);
-        cache.insert(fp, key.clone(), value);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get(fp, &key, false).is_none(), "expired, not served");
-        let stats = cache.stats();
-        assert_eq!(stats.expirations, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.entries, 0, "expired entry was dropped");
-    }
-
-    #[test]
-    fn insert_sweep_expires_before_lru_evicts() {
-        // Capacity 1 + TTL 0: the second insert's sweep clears the stale
-        // first entry, so the slot frees by *expiry*, never LRU eviction.
-        let cache = CircuitCache::with_capacity(1, Some(1)).with_ttl(Some(Duration::ZERO));
-        let (fp0, k0, v0) = keyed_entry(0);
-        let (fp1, k1, v1) = keyed_entry(1);
-        cache.insert(fp0, k0, v0);
-        cache.insert(fp1, k1, v1);
-        let stats = cache.stats();
-        assert_eq!(stats.expirations, 1, "stale entry expired by the sweep");
-        assert_eq!(stats.evictions, 0, "LRU never had to fire");
-        assert_eq!(stats.entries, 1);
-    }
-
-    #[test]
-    fn explicit_expire_sweeps_every_shard() {
-        let cache = CircuitCache::new(4).with_ttl(Some(Duration::from_secs(60)));
-        for i in 0..6 {
-            let (fp, key, value) = keyed_entry(i);
-            cache.insert(fp, key, value);
-        }
-        assert_eq!(cache.expire(Instant::now()), 0, "nothing is old yet");
-        let later = Instant::now() + Duration::from_secs(120);
-        assert_eq!(cache.expire(later), 6, "everything aged out");
-        let stats = cache.stats();
-        assert_eq!(stats.expirations, 6);
-        assert!(cache.is_empty());
-        // Without a TTL, expire is a no-op.
-        let unbounded = CircuitCache::new(1);
-        let (fp, key, value) = keyed_entry(0);
-        unbounded.insert(fp, key, value);
-        assert_eq!(
-            unbounded.expire(Instant::now() + Duration::from_secs(3600)),
-            0
-        );
-        assert_eq!(unbounded.len(), 1);
-    }
-
-    #[test]
-    fn ttl_survives_a_fresh_entry() {
-        // A generous TTL never expires a just-inserted entry.
-        let cache = CircuitCache::new(1).with_ttl(Some(Duration::from_secs(3600)));
-        let (fp, key, value) = keyed_entry(0);
-        cache.insert(fp, key.clone(), value);
-        assert!(cache.get(fp, &key, false).is_some());
-        assert_eq!(cache.stats().expirations, 0);
-    }
-
-    #[test]
-    fn hot_tier_serves_on_shard_miss() {
-        // Freeze one cache's contents, share them with an empty cache.
-        let source = CircuitCache::new(2);
-        let (fp, key, value) = keyed_entry(0);
-        source.insert(fp, key.clone(), value);
-        let tier = Arc::new(source.freeze());
-        assert_eq!(tier.len(), 1);
-        assert!(!tier.is_empty());
-
-        let cache = CircuitCache::new(2).with_hot_tier(Some(Arc::clone(&tier)));
-        assert_eq!(cache.len(), 0, "hot tier is not shard occupancy");
-        let served = cache.get(fp, &key, false).expect("served from the tier");
-        assert_eq!(served.circuit, source.get(fp, &key, false).unwrap().circuit);
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.hot_hits, 1);
-        assert_eq!(stats.misses, 0);
-        // A key the tier does not hold is still a miss.
-        let (fp1, k1, _) = keyed_entry(1);
-        assert!(cache.get(fp1, &k1, false).is_none());
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn hot_tier_respects_require_verified() {
-        let source = CircuitCache::new(1);
-        let (fp, key, unverified) = keyed_entry(0);
-        source.insert(fp, key.clone(), unverified);
-        let (fp1, k1, verified) = verified_entry(1);
-        source.insert(fp1, k1.clone(), verified);
-        let cache = CircuitCache::new(1).with_hot_tier(Some(Arc::new(source.freeze())));
-        assert!(cache.get(fp, &key, true).is_none(), "unverified not served");
-        assert!(cache.get(fp1, &k1, true).is_some(), "verified entry served");
-        let served = cache.get(fp1, &k1, true).unwrap();
-        assert!(served.verification.is_some());
-    }
-
-    #[test]
-    fn shard_hit_wins_over_hot_tier() {
-        // When both tiers hold the key, the writable shard answers and the
-        // hot-tier counter stays untouched.
-        let source = CircuitCache::new(1);
-        let (fp, key, value) = keyed_entry(0);
-        source.insert(fp, key.clone(), Arc::clone(&value));
-        let cache = CircuitCache::new(1).with_hot_tier(Some(Arc::new(source.freeze())));
-        cache.insert(fp, key.clone(), value);
-        assert!(cache.get(fp, &key, false).is_some());
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.hot_hits, 0, "answered by the shard, not the tier");
-    }
-
-    #[test]
     fn fingerprint_of_matches_canonical_key() {
         let a = Complex::real(0.5);
         let request = dense_request(&[a, a, a, a]);
@@ -1131,35 +755,47 @@ mod tests {
     }
 
     #[test]
-    fn stats_snapshot_matches_locked_stats_when_quiesced() {
-        // Exercise every occupancy mutation path — insert, duplicate
-        // insert, LRU eviction, TTL expiry (lookup + sweep + explicit),
-        // clear — and check the maintained atomic agrees with the locked
-        // recount after each.
-        let cache = CircuitCache::with_capacity(1, Some(3)).with_ttl(Some(Duration::from_secs(60)));
-        assert_eq!(cache.stats_snapshot(), cache.stats());
-        for i in 0..5 {
-            let (fp, key, value) = keyed_entry(i);
-            cache.insert(fp, key.clone(), Arc::clone(&value));
-            cache.insert(fp, key, value);
-            assert_eq!(cache.stats_snapshot(), cache.stats());
+    fn maintained_entry_count_matches_the_stored_entries() {
+        // `stats().entries` and `len()` read a counter maintained under
+        // the shard locks; after every occupancy mutation — insert,
+        // duplicate insert, verified upgrade, LRU eviction, snapshot load,
+        // clear — it must equal the entries actually stored.
+        fn agrees(cache: &CircuitCache) {
+            let stored = cache.export().len();
+            assert_eq!(cache.stats().entries, stored);
+            assert_eq!(cache.len(), stored);
         }
-        assert_eq!(cache.stats_snapshot().evictions, 2);
-        cache.expire(Instant::now() + Duration::from_secs(120));
-        assert_eq!(cache.stats_snapshot(), cache.stats());
-        assert_eq!(cache.stats_snapshot().entries, 0);
+        let cache = CircuitCache::with_capacity(1, Some(3));
+        agrees(&cache);
         let (fp, key, value) = keyed_entry(0);
-        cache.insert(fp, key, value);
-        cache.clear();
-        assert_eq!(cache.stats_snapshot(), cache.stats());
+        cache.insert(fp, key.clone(), Arc::clone(&value));
+        agrees(&cache);
+        cache.insert(fp, key.clone(), value);
+        agrees(&cache);
+        let (_, _, verified) = verified_entry(0);
+        cache.insert(fp, key.clone(), verified);
+        agrees(&cache);
+        assert!(cache.get(fp, &key, true).is_some(), "upgraded in place");
+        for i in 1..5 {
+            let (fp, key, value) = keyed_entry(i);
+            cache.insert(fp, key, value);
+            agrees(&cache);
+        }
+        assert_eq!(cache.stats().evictions, 2, "LRU evictions ran");
 
-        // The zero-TTL lookup drop path.
-        let lazy = CircuitCache::new(1).with_ttl(Some(Duration::ZERO));
-        let (fp, key, value) = keyed_entry(1);
-        lazy.insert(fp, key.clone(), value);
-        assert!(lazy.get(fp, &key, false).is_none());
-        assert_eq!(lazy.stats_snapshot(), lazy.stats());
-        assert_eq!(lazy.stats_snapshot().entries, 0);
+        let path =
+            std::env::temp_dir().join(format!("mdq-cache-entry-count-{}.snap", std::process::id()));
+        crate::snapshot::save(&cache, &path).unwrap();
+        let restored = CircuitCache::with_capacity(1, Some(2));
+        let load = crate::snapshot::load_into(&restored, &path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(load.loaded, 3);
+        agrees(&restored);
+        assert_eq!(restored.stats().evictions, 1, "the load evicted too");
+
+        cache.clear();
+        agrees(&cache);
+        assert!(cache.is_empty());
     }
 
     #[test]

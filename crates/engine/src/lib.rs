@@ -41,18 +41,15 @@
 //!   hash of the register, the tolerance-quantized target amplitudes, and
 //!   the pipeline options ([`cache`] module); identical requests are
 //!   served the stored circuit. Optionally bounded with per-shard LRU
-//!   eviction ([`EngineConfig::with_cache_capacity`]) and a TTL age bound
-//!   ([`EngineConfig::with_cache_ttl`]).
+//!   eviction ([`EngineConfig::with_cache_capacity`]); entries are
+//!   content-addressed, so they never go stale and the size bound is the
+//!   only one.
 //! * **Warm-start persistence** — [`EngineConfig::with_warm_start`] loads
 //!   a [`snapshot`] of the prepared-circuit cache at construction (loads
 //!   re-derive every fingerprint and only admit records that round-trip
 //!   bit-exactly) and snapshots back on graceful shutdown, so a restart
 //!   replays the previous process's work instead of starting cold;
-//!   [`EngineService::snapshot_to`] saves on demand. A frozen read-mostly
-//!   [`HotTier`] ([`CircuitCache::freeze`] /
-//!   [`snapshot::load_hot_tier`]) can be shared by several services in
-//!   one process ([`EngineConfig::with_hot_tier`]), exchanging hot
-//!   entries without write contention.
+//!   [`EngineService::snapshot_to`] saves on demand.
 //! * **FIFO-fair admission control** — [`EngineConfig::with_queue_depth`]
 //!   bounds the scheduler queue: [`EngineService::try_submit`] refuses
 //!   overflow with [`EngineError::QueueFull`] (the request handed back by
@@ -86,9 +83,9 @@
 //!   [`EngineService::shutdown_now`] / `Drop` abort (queued jobs resolve
 //!   to [`EngineError::Shutdown`]); either way the pool is joined.
 //!
-//! [`BatchEngine`] remains as a blocking compatibility wrapper: it submits
-//! a whole batch to the wrapped service and waits, returning results in
-//! request order exactly as before.
+//! A blocking batch is [`EngineService::submit_batch`] followed by
+//! [`JobHandle::wait`] on each handle, which yields results in request
+//! order.
 //!
 //! # Examples
 //!
@@ -132,8 +129,8 @@ mod service;
 pub mod snapshot;
 pub mod wire;
 
-pub use cache::{canonical_key, fingerprint_of, CacheStats, CanonicalKey, CircuitCache, HotTier};
-pub use engine::{BatchEngine, EngineConfig, EngineStats};
+pub use cache::{canonical_key, fingerprint_of, CacheStats, CanonicalKey, CircuitCache};
+pub use engine::{EngineConfig, EngineStats};
 pub use request::{PrepareReport, PrepareRequest, StatePayload};
 pub use scheduler::{Aging, Priority, SchedulingPolicy};
 pub use service::{AdmissionError, EngineError, EngineService, JobHandle};
@@ -152,14 +149,12 @@ pub use mdq_core::{VerificationPolicy, VerificationReport};
 const fn assert_send_sync<T: Send + Sync>() {}
 const fn assert_send<T: Send>() {}
 const _: () = {
-    assert_send_sync::<BatchEngine>();
     assert_send_sync::<EngineService>();
     assert_send_sync::<EngineConfig>();
     assert_send_sync::<EngineStats>();
     assert_send_sync::<EngineError>();
     assert_send_sync::<CircuitCache>();
     assert_send_sync::<CacheStats>();
-    assert_send_sync::<HotTier>();
     assert_send_sync::<SnapshotError>();
     assert_send_sync::<SnapshotLoad>();
     assert_send_sync::<SnapshotStats>();

@@ -1,4 +1,4 @@
-//! Request and report types of the batch engine.
+//! Request and report types of the engine service.
 
 use std::time::Duration;
 
@@ -26,9 +26,9 @@ pub enum StatePayload {
     Sparse(Vec<(Vec<usize>, Complex)>),
 }
 
-/// One unit of work for the [`EngineService`](crate::EngineService) (and
-/// the [`BatchEngine`](crate::BatchEngine) wrapper over it): a register, a
-/// target state, the pipeline options, and a scheduling priority.
+/// One unit of work for the [`EngineService`](crate::EngineService): a
+/// register, a target state, the pipeline options, and a scheduling
+/// priority.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrepareRequest {
     /// The register layout.

@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use mdq_core::{PrepareError, Preparer, VerificationReport};
 
-use crate::cache::{canonical_key, CacheStats, CachedPreparation, CircuitCache};
+use crate::cache::{canonical_key, CachedPreparation, CircuitCache};
 use crate::engine::{EngineConfig, EngineStats};
 use crate::request::{PrepareReport, PrepareRequest, StatePayload};
 use crate::scheduler::{Job, PushRefusal, Scheduler};
@@ -413,14 +413,6 @@ impl ServiceShared {
     }
 
     fn stats(&self) -> EngineStats {
-        self.stats_with(self.cache.stats())
-    }
-
-    fn stats_snapshot(&self) -> EngineStats {
-        self.stats_with(self.cache.stats_snapshot())
-    }
-
-    fn stats_with(&self, cache: CacheStats) -> EngineStats {
         EngineStats {
             jobs: self.jobs.load(Ordering::Relaxed),
             failures: self.failures.load(Ordering::Relaxed),
@@ -428,7 +420,7 @@ impl ServiceShared {
             verified: self.verified.load(Ordering::Relaxed),
             verification_failures: self.verification_failures.load(Ordering::Relaxed),
             high_watermark: self.scheduler.high_watermark(),
-            cache,
+            cache: self.cache.stats(),
             weight_lookups: self
                 .workers
                 .iter()
@@ -500,9 +492,7 @@ impl EngineService {
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
         let workers = config.workers.max(1);
-        let cache = CircuitCache::with_capacity(config.cache_shards, config.cache_capacity)
-            .with_ttl(config.cache_ttl)
-            .with_hot_tier(config.hot_tier.clone());
+        let cache = CircuitCache::with_capacity(config.cache_shards, config.cache_capacity);
         // Warm start: replay the snapshot into the cache before any worker
         // runs. A missing file is a silent cold start (first boot and warm
         // restart share one configuration); an unreadable or corrupt file
@@ -565,21 +555,13 @@ impl EngineService {
         &self.shared.cache
     }
 
-    /// Aggregate counters, cumulative since construction.
+    /// Aggregate counters, cumulative since construction. The cache
+    /// counters are read without locking a cache shard
+    /// ([`CircuitCache::stats`]), so an aggregator polling many services
+    /// (the `mdq-router` front-end) never contends with cache probes.
     #[must_use]
     pub fn stats(&self) -> EngineStats {
         self.shared.stats()
-    }
-
-    /// Lock-free point-in-time [`EngineStats`]: identical to
-    /// [`EngineService::stats`] except that the cache occupancy comes from
-    /// [`CircuitCache::stats_snapshot`]'s maintained counter instead of a
-    /// recount that locks every cache shard. This is what an aggregator
-    /// polling many shard services (the `mdq-router` front-end) should
-    /// call: it never contends with the serving path.
-    #[must_use]
-    pub fn stats_snapshot(&self) -> EngineStats {
-        self.shared.stats_snapshot()
     }
 
     /// Outcome of the construction-time warm-start load: `None` when no
@@ -717,7 +699,9 @@ impl EngineService {
     }
 
     /// Enqueues a whole batch, returning one handle per request in the
-    /// same order. Sugar for repeated [`EngineService::submit`] calls.
+    /// same order. Sugar for repeated [`EngineService::submit`] calls;
+    /// waiting on the handles in order yields the results in request
+    /// order, independent of worker count and scheduling.
     pub fn submit_batch<I>(&self, requests: I) -> Vec<JobHandle>
     where
         I: IntoIterator<Item = PrepareRequest>,
@@ -787,28 +771,142 @@ mod tests {
         Dims::new(v.to_vec()).unwrap()
     }
 
-    #[test]
-    fn submit_resolves_like_sequential_prepare() {
-        let d = dims(&[3, 6, 2]);
-        let service = EngineService::new(EngineConfig::default().with_workers(2));
-        let requests = vec![
-            PrepareRequest::dense(d.clone(), ghz(&d), PrepareOptions::exact()),
-            PrepareRequest::dense(d.clone(), w_state(&d), PrepareOptions::approximated(0.98))
+    /// Dense exact and approximated, sparse, and zero-pruned requests at
+    /// mixed priorities, plus a bit-identical duplicate of the first
+    /// (cache-hit probe).
+    fn mixed_batch() -> Vec<PrepareRequest> {
+        let d3 = dims(&[3, 6, 2]);
+        let d2 = dims(&[4, 3]);
+        let mut batch = vec![
+            PrepareRequest::dense(d3.clone(), ghz(&d3), PrepareOptions::exact()),
+            PrepareRequest::dense(d3.clone(), w_state(&d3), PrepareOptions::approximated(0.98))
                 .with_priority(Priority::High),
             PrepareRequest::sparse(
-                d.clone(),
-                mdq_states::sparse::w_state(&d),
+                d3.clone(),
+                mdq_states::sparse::w_state(&d3),
                 PrepareOptions::exact(),
             )
             .with_priority(Priority::Low),
+            PrepareRequest::dense(
+                d2.clone(),
+                ghz(&d2),
+                PrepareOptions::exact().without_zero_subtrees(),
+            ),
         ];
-        let handles = service.submit_batch(requests.clone());
-        for (request, handle) in requests.iter().zip(handles) {
-            let report = handle.wait().expect("job succeeds");
-            let want = request.prepare_sequential().expect("reference runs");
-            assert_eq!(report.circuit, want.circuit);
+        batch.push(batch[0].clone());
+        batch
+    }
+
+    /// Waits on every handle, returning the results in request order.
+    fn wait_all(handles: Vec<JobHandle>) -> Vec<Result<PrepareReport, EngineError>> {
+        handles.into_iter().map(JobHandle::wait).collect()
+    }
+
+    #[test]
+    fn submit_resolves_like_sequential_prepare() {
+        let requests = mixed_batch();
+        let expected: Vec<_> = requests
+            .iter()
+            .map(|r| r.prepare_sequential().expect("reference runs").circuit)
+            .collect();
+        // 16 workers outnumber the jobs: the idle ones must not matter.
+        for workers in [1, 2, 4, 16] {
+            let service = EngineService::new(EngineConfig::default().with_workers(workers));
+            let results = wait_all(service.submit_batch(requests.clone()));
+            assert_eq!(results.len(), requests.len());
+            for (i, (result, want)) in results.iter().zip(&expected).enumerate() {
+                let report = result.as_ref().expect("job succeeds");
+                assert_eq!(&report.circuit, want, "request {i} at {workers} workers");
+            }
+            assert_eq!(service.stats().jobs, requests.len() as u64);
+            assert!(service.submit_batch(Vec::new()).is_empty());
+            service.shutdown();
         }
-        assert_eq!(service.stats().jobs, 3);
+    }
+
+    #[test]
+    fn duplicate_requests_hit_the_cache() {
+        let requests = mixed_batch();
+        let service = EngineService::new(EngineConfig::default().with_workers(1));
+        let cold = wait_all(service.submit_batch(requests.clone()));
+        // Request 4 duplicates request 0, so even the cold batch hits once.
+        let (first, duplicate) = (cold[0].as_ref().unwrap(), cold[4].as_ref().unwrap());
+        assert!(duplicate.from_cache);
+        assert_eq!(first.circuit, duplicate.circuit);
+        let warm = wait_all(service.submit_batch(requests.clone()));
+        for (cold_r, warm_r) in cold.iter().zip(&warm) {
+            let warm_r = warm_r.as_ref().unwrap();
+            assert!(warm_r.from_cache, "warm batch is served from cache");
+            assert_eq!(cold_r.as_ref().unwrap().circuit, warm_r.circuit);
+        }
+        let stats = service.stats();
+        assert_eq!(stats.jobs, 2 * requests.len() as u64);
+        assert!(stats.cache.hits >= requests.len() as u64);
+        assert_eq!(stats.cache.entries, 4, "four distinct keys stored");
+        assert!(stats.weight_lookups > 0, "arena telemetry aggregated");
+        assert!(stats.arena_reuses > 0, "worker arenas persisted");
+        service.shutdown();
+    }
+
+    #[test]
+    fn cache_can_be_disabled() {
+        let requests = mixed_batch();
+        let service = EngineService::new(EngineConfig::default().with_workers(2).without_cache());
+        let first = wait_all(service.submit_batch(requests.clone()));
+        let second = wait_all(service.submit_batch(requests));
+        for (a, b) in first.iter().zip(&second) {
+            let (a, b) = (a.as_ref().unwrap(), b.as_ref().unwrap());
+            assert!(!a.from_cache && !b.from_cache);
+            assert_eq!(a.circuit, b.circuit);
+        }
+        assert_eq!(service.stats().cache, crate::CacheStats::default());
+        service.shutdown();
+    }
+
+    #[test]
+    fn node_limit_is_enforced_per_job() {
+        let d = dims(&[3, 6, 2]);
+        let service =
+            EngineService::new(EngineConfig::default().with_workers(1).with_node_limit(2));
+        let result = service
+            .submit(PrepareRequest::dense(
+                d.clone(),
+                w_state(&d),
+                PrepareOptions::exact().without_zero_subtrees(),
+            ))
+            .wait();
+        assert!(matches!(
+            result,
+            Err(EngineError::Prepare(PrepareError::Build(_)))
+        ));
+        service.shutdown();
+    }
+
+    #[test]
+    fn tree_metric_reports_do_not_alias_sparse_cache_entries() {
+        // `prepare` honors keep_zero_subtrees (nodes_initial = full tree),
+        // `prepare_sparse` ignores it; a sparse job must not fill a cache
+        // entry that a dense tree-metric request would then be served.
+        let d = dims(&[2, 2]);
+        let a = mdq_num::Complex::real(0.5f64.sqrt());
+        let mut amps = vec![mdq_num::Complex::ZERO; 4];
+        amps[d.index_of(&[0, 0])] = a;
+        amps[d.index_of(&[1, 1])] = a;
+        let sparse = PrepareRequest::sparse(
+            d.clone(),
+            vec![(vec![0, 0], a), (vec![1, 1], a)],
+            PrepareOptions::exact(),
+        );
+        let dense = PrepareRequest::dense(d, amps, PrepareOptions::exact());
+        let expected = dense.prepare_sequential().unwrap();
+        // One worker: the sparse job is submitted (and popped) first, so it
+        // lands in the cache before the dense job probes.
+        let service = EngineService::new(EngineConfig::default().with_workers(1));
+        let results = wait_all(service.submit_batch([sparse, dense]));
+        let served = results[1].as_ref().unwrap();
+        assert!(!served.from_cache, "tree-metric request must not alias");
+        assert_eq!(served.report.nodes_initial, expected.report.nodes_initial);
+        assert_eq!(served.circuit, expected.circuit);
         service.shutdown();
     }
 
@@ -851,17 +949,19 @@ mod tests {
     #[test]
     fn pipeline_failures_surface_as_prepare_errors() {
         let d = dims(&[2, 2]);
-        let service = EngineService::new(EngineConfig::default().with_workers(1));
-        let handle = service.submit(PrepareRequest::dense(
-            d,
-            vec![mdq_num::Complex::ONE],
-            PrepareOptions::exact(),
-        ));
-        match handle.wait() {
+        let ok = PrepareRequest::dense(d.clone(), ghz(&d), PrepareOptions::exact());
+        let bad = PrepareRequest::dense(d, vec![mdq_num::Complex::ONE], PrepareOptions::exact());
+        let service = EngineService::new(EngineConfig::default().with_workers(2));
+        // The failure surfaces at its own index; its neighbours succeed.
+        let results = wait_all(service.submit_batch([ok.clone(), bad, ok]));
+        assert!(results[0].is_ok());
+        match &results[1] {
             Err(EngineError::Prepare(PrepareError::Build(_))) => {}
             other => panic!("expected a build error, got {other:?}"),
         }
-        assert_eq!(service.stats().failures, 1);
+        assert!(results[2].is_ok());
+        let stats = service.stats();
+        assert_eq!((stats.jobs, stats.failures), (2, 1));
     }
 
     #[test]
@@ -1203,26 +1303,6 @@ mod tests {
         assert!(matches!(follow_up.warm_start_load(), Some(Ok(_))));
         follow_up.shutdown();
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn hot_tier_shares_entries_across_service_instances() {
-        let d = dims(&[3, 6, 2]);
-        let request = PrepareRequest::dense(d.clone(), w_state(&d), PrepareOptions::exact());
-        let first = EngineService::new(EngineConfig::default().with_workers(1));
-        let original = first.submit(request.clone()).wait().unwrap();
-        let tier = Arc::new(first.cache().freeze());
-        first.shutdown();
-
-        let second =
-            EngineService::new(EngineConfig::default().with_workers(1).with_hot_tier(tier));
-        let served = second.submit(request.clone()).wait().unwrap();
-        assert!(served.from_cache, "answered by the shared tier");
-        assert_eq!(served.circuit, original.circuit);
-        let stats = second.stats();
-        assert_eq!(stats.cache.hot_hits, 1);
-        assert_eq!(stats.cache.entries, 0, "nothing copied into the shards");
-        second.shutdown();
     }
 
     #[test]

@@ -53,8 +53,7 @@ use mdq_core::{SynthesisReport, VerificationReport};
 use mdq_num::radix::Dims;
 
 use crate::cache::{
-    fingerprint_of, CacheEntries, CachedPreparation, CanonicalKey, CircuitCache, HotTier,
-    OptionsKey,
+    fingerprint_of, CacheEntries, CachedPreparation, CanonicalKey, CircuitCache, OptionsKey,
 };
 
 /// The snapshot format version this build writes and accepts.
@@ -528,8 +527,7 @@ fn parse_snapshot(text: &str) -> Result<(CacheEntries, usize), SnapshotError> {
 /// Loads a snapshot into a live cache. Each record's fingerprint is
 /// re-derived from its parsed key; records that fail the bit-exact
 /// round-trip guard are skipped. Entries are inserted through the normal
-/// [`CircuitCache`] path, so shard capacity (LRU) applies and loaded
-/// entries age against the cache TTL from load time.
+/// [`CircuitCache`] path, so shard capacity (LRU) applies.
 pub fn load_into(cache: &CircuitCache, path: &Path) -> Result<SnapshotLoad, SnapshotError> {
     let started = Instant::now();
     let text = std::fs::read_to_string(path)?;
@@ -543,25 +541,6 @@ pub fn load_into(cache: &CircuitCache, path: &Path) -> Result<SnapshotLoad, Snap
         skipped,
         duration: started.elapsed(),
     })
-}
-
-/// Loads a snapshot as an immutable [`HotTier`] for sharing across engine
-/// instances (see [`CircuitCache::with_hot_tier`]). The same round-trip
-/// guard as [`load_into`] applies.
-pub fn load_hot_tier(path: &Path) -> Result<(HotTier, SnapshotLoad), SnapshotError> {
-    let started = Instant::now();
-    let text = std::fs::read_to_string(path)?;
-    let (entries, skipped) = parse_snapshot(&text)?;
-    let loaded = entries.len();
-    let tier = HotTier::from_entries(entries);
-    Ok((
-        tier,
-        SnapshotLoad {
-            loaded,
-            skipped,
-            duration: started.elapsed(),
-        },
-    ))
 }
 
 #[cfg(test)]
@@ -654,23 +633,6 @@ mod tests {
             );
             assert_eq!(served.report.time, value.report.time);
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn hot_tier_load_serves_the_same_entries() {
-        let cache = populated_cache(3);
-        let path = temp_path("hottier");
-        save(&cache, &path).unwrap();
-        let (tier, load) = load_hot_tier(&path).unwrap();
-        assert_eq!(load.loaded, 3);
-        assert_eq!(tier.len(), 3);
-        let front = CircuitCache::new(1).with_hot_tier(Some(Arc::new(tier)));
-        for (fp, key, value) in cache.export() {
-            let served = front.get(fp, &key, false).expect("tier serves");
-            assert_eq!(served.circuit, value.circuit);
-        }
-        assert_eq!(front.stats().hot_hits, 3);
         std::fs::remove_file(&path).ok();
     }
 

@@ -9,8 +9,8 @@
 //!                          ┌─────────────────────── Router ───────────────────────┐
 //!  submit(tenant, req) ──▶ │ quota gate ─▶ consistent-hash ring ─▶ shard 0 Engine │
 //!    ─▶ RouterHandle       │ (per-tenant    (fingerprint-keyed)  ─▶ shard 1 Engine │
-//!  submit(tenant, req) ──▶ │  in-flight /                        ─▶ shard 2 Engine │
-//!    ─▶ RouterHandle       │  queue-share)                           …             │
+//!  submit(tenant, req) ──▶ │  in-flight)                         ─▶ shard 2 Engine │
+//!    ─▶ RouterHandle       │                                         …             │
 //!                          └──────────────────────────────────────────────────────┘
 //! ```
 //!
@@ -22,10 +22,9 @@
 //!   shards moves only ~1/n of the keys and never moves a key between
 //!   two surviving shards.
 //! * **Per-tenant quotas** — every submission names a [`TenantId`]; a
-//!   [`TenantQuota`] bounds the tenant's in-flight jobs absolutely and/or
-//!   as a share of total shard queue capacity. A tenant at its quota is
-//!   refused with [`RouterError::TenantOverQuota`] — the request handed
-//!   back by value, other tenants unaffected.
+//!   [`TenantQuota`] bounds the tenant's in-flight jobs. A tenant at its
+//!   quota is refused with [`RouterError::TenantOverQuota`] — the request
+//!   handed back by value, other tenants unaffected.
 //! * **Warm shards** — with [`RouterConfig::with_snapshot_dir`], each
 //!   shard loads `shard-<id>.mdqsnap` at construction and writes it back
 //!   on graceful removal, so a shard re-joining the ring starts with the
@@ -37,8 +36,8 @@
 //!   routing proptests and the router stress scenario).
 //! * **Strict accounting** — [`RouterStats`] reports, per tenant,
 //!   `completed + failed + rejected + dropped == submitted` once all
-//!   handles resolve, plus per-shard [`EngineStats`] snapshots (taken via
-//!   the lock-free [`EngineService::stats_snapshot`]) and cache hit
+//!   handles resolve, plus per-shard [`EngineStats`] (read via
+//!   [`EngineService::stats`], which locks no cache shard) and cache hit
 //!   rates.
 //!
 //! # Example
@@ -91,17 +90,16 @@ pub use tenant::{TenantId, TenantQuota, TenantStats};
 
 use tenant::TenantState;
 
-/// Configuration for a [`Router`].
+/// Configuration for a [`Router`]. Shards sit on a
+/// [`HashRing::default`] ring.
 #[derive(Debug, Clone, Default)]
 pub struct RouterConfig {
     /// Template for every shard's engine (workers, cache, queue bound…).
-    /// Per-shard warm-start paths are derived from
-    /// [`snapshot_dir`](RouterConfig::snapshot_dir) and override any
-    /// template path.
+    /// The template's [`warm_start`](EngineConfig::warm_start) is ignored:
+    /// each shard warm-starts from its own
+    /// [`snapshot_dir`](RouterConfig::snapshot_dir) file, or not at all
+    /// when no directory is set, so shards never share a snapshot.
     pub engine: EngineConfig,
-    /// Virtual ring points per shard (`0` means
-    /// [`HashRing::DEFAULT_REPLICAS`]).
-    pub replicas: usize,
     /// Directory for per-shard warm-start snapshots
     /// (`shard-<id>.mdqsnap`); `None` disables warm shards.
     pub snapshot_dir: Option<PathBuf>,
@@ -115,26 +113,11 @@ impl RouterConfig {
         self
     }
 
-    /// Sets the virtual ring points per shard.
-    #[must_use]
-    pub fn with_replicas(mut self, replicas: usize) -> Self {
-        self.replicas = replicas;
-        self
-    }
-
     /// Enables per-shard warm-start snapshots under `dir`.
     #[must_use]
     pub fn with_snapshot_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.snapshot_dir = Some(dir.into());
         self
-    }
-
-    fn ring(&self) -> HashRing {
-        if self.replicas == 0 {
-            HashRing::default()
-        } else {
-            HashRing::new(self.replicas)
-        }
     }
 }
 
@@ -152,7 +135,7 @@ pub enum RouterError {
         request: PrepareRequest,
         /// The tenant's in-flight jobs at refusal.
         in_flight: usize,
-        /// The effective limit that was hit.
+        /// The tenant's [`TenantQuota::max_in_flight`] that was hit.
         limit: usize,
     },
     /// The ring is empty — no shard to route to.
@@ -207,22 +190,6 @@ struct ShardEntry {
 struct Topology {
     shards: Vec<ShardEntry>,
     ring: HashRing,
-    /// Sum of every shard's bounded queue depth; `None` as soon as any
-    /// shard is unbounded (queue-share quotas are inert then).
-    total_queue_depth: Option<usize>,
-}
-
-impl Topology {
-    fn recompute_depth(&mut self) {
-        let mut total = Some(0usize);
-        for entry in &self.shards {
-            total = match (total, entry.service.config().queue_depth) {
-                (Some(t), Some(d)) => Some(t + d),
-                _ => None,
-            };
-        }
-        self.total_queue_depth = if self.shards.is_empty() { None } else { total };
-    }
 }
 
 /// A sharded, multi-tenant front-end over N [`EngineService`] shards.
@@ -241,13 +208,11 @@ impl Router {
     /// A router with no shards yet; add them with [`Router::add_shard`].
     #[must_use]
     pub fn new(config: RouterConfig) -> Self {
-        let ring = config.ring();
         Router {
             config,
             topology: RwLock::new(Topology {
                 shards: Vec::new(),
-                ring,
-                total_queue_depth: None,
+                ring: HashRing::default(),
             }),
             tenants: Mutex::new(HashMap::new()),
         }
@@ -263,7 +228,7 @@ impl Router {
     /// the config template. With a snapshot directory configured the new
     /// shard warm-starts from `shard-<id>.mdqsnap` when present — a
     /// shard that left gracefully re-joins with the cache slice it owned
-    /// before.
+    /// before. Without one the shard neither loads nor saves a snapshot.
     ///
     /// Joining moves only the keys the consistent-hash ring assigns to
     /// the joiner (~1/(n+1) of the space); keys on surviving shards stay
@@ -283,9 +248,11 @@ impl Router {
         // worker pool and may load a snapshot, and submissions should
         // keep flowing to existing shards meanwhile.
         let mut engine = self.config.engine.clone();
-        if let Some(dir) = &self.config.snapshot_dir {
-            engine = engine.with_warm_start(dir.join(format!("shard-{id}.mdqsnap")));
-        }
+        engine.warm_start = self
+            .config
+            .snapshot_dir
+            .as_ref()
+            .map(|dir| dir.join(format!("shard-{id}.mdqsnap")));
         let service = EngineService::new(engine);
         let mut topology = self.topology.write().expect("router topology poisoned");
         if !topology.ring.add(id) {
@@ -295,7 +262,6 @@ impl Router {
             return false;
         }
         topology.shards.push(ShardEntry { id, service });
-        topology.recompute_depth();
         true
     }
 
@@ -313,9 +279,7 @@ impl Router {
                 return false;
             };
             topology.ring.remove(id);
-            let entry = topology.shards.remove(position);
-            topology.recompute_depth();
-            entry
+            topology.shards.remove(position)
         };
         // Drain outside the lock: new submissions already route around
         // the leaver while it finishes its accepted jobs.
@@ -389,7 +353,7 @@ impl Router {
             .quota
             .lock()
             .expect("tenant quota poisoned")
-            .effective_limit(topology.total_queue_depth);
+            .max_in_flight;
         if let Err(in_flight) = state.try_reserve(limit) {
             state.rejected.fetch_add(1, Ordering::Relaxed);
             return Err(RouterError::TenantOverQuota {
@@ -428,9 +392,9 @@ impl Router {
         }
     }
 
-    /// A point-in-time [`RouterStats`]: per-tenant ledgers plus a
-    /// lock-free [`EngineStats`] snapshot and cache hit rate per shard.
-    /// Never contends with serving.
+    /// A point-in-time [`RouterStats`]: per-tenant ledgers plus each
+    /// shard's [`EngineStats`] and cache hit rate. Reading them locks no
+    /// cache shard ([`EngineService::stats`]).
     #[must_use]
     pub fn stats(&self) -> RouterStats {
         let shards: Vec<ShardStats> = {
@@ -439,7 +403,7 @@ impl Router {
                 .shards
                 .iter()
                 .map(|entry| {
-                    let engine = entry.service.stats_snapshot();
+                    let engine = entry.service.stats();
                     let probes = engine.cache.hits + engine.cache.misses;
                     #[allow(clippy::cast_precision_loss)]
                     let hit_rate = if probes == 0 {
@@ -613,8 +577,7 @@ pub struct RouterStats {
 pub struct ShardStats {
     /// The shard's stable ring id.
     pub shard: usize,
-    /// The shard engine's own stats (taken via the lock-free
-    /// [`EngineService::stats_snapshot`]).
+    /// The shard engine's own stats ([`EngineService::stats`]).
     pub engine: EngineStats,
     /// Cache hits over probes, `0.0` before the first probe.
     pub hit_rate: f64,
@@ -807,28 +770,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_share_quota_tracks_total_shard_capacity() {
-        let router = Router::new(
-            RouterConfig::default()
-                .with_engine_config(EngineConfig::default().with_workers(1).with_queue_depth(4)),
-        );
-        router.add_shard(0);
-        router.add_shard(1);
-        let tenant = TenantId(5);
-        // 25% of 8 total slots = 2 in flight.
-        router.set_quota(tenant, TenantQuota::unlimited().with_max_queue_share(0.25));
-        let h1 = router.submit(tenant, request(0)).unwrap();
-        let h2 = router.submit(tenant, request(1)).unwrap();
-        match router.submit(tenant, request(2)) {
-            Err(RouterError::TenantOverQuota { limit, .. }) => assert_eq!(limit, 2),
-            other => panic!("expected TenantOverQuota, got {other:?}"),
-        }
-        h1.wait().unwrap();
-        h2.wait().unwrap();
-        router.shutdown();
-    }
-
-    #[test]
     fn removed_shard_drains_and_rejoins_warm_from_its_snapshot() {
         let dir = std::env::temp_dir().join(format!(
             "mdq-router-warm-{}-{:?}",
@@ -868,6 +809,42 @@ mod tests {
         assert!(report.from_cache);
         router.shutdown();
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn template_warm_start_is_neither_read_nor_written_without_a_snapshot_dir() {
+        // Shards built from one template must not share its snapshot file:
+        // with no snapshot directory, no shard loads or saves one.
+        let path = std::env::temp_dir().join(format!(
+            "mdq-router-template-{}-{:?}.mdqsnap",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let empty = "mdqsnap 1\nentries 0\ndone\n";
+        std::fs::write(&path, empty).unwrap();
+        let router = Router::new(
+            RouterConfig::default().with_engine_config(
+                EngineConfig::default()
+                    .with_workers(1)
+                    .with_warm_start(&path),
+            ),
+        );
+        for id in 0..2 {
+            assert!(router.add_shard(id));
+        }
+        let stats = router.stats();
+        assert!(
+            stats.shards.iter().all(|s| s.warm_loaded.is_none()),
+            "no shard read the template's snapshot"
+        );
+        for seed in 0..4 {
+            let handle = router.submit(TenantId(0), request(seed)).unwrap();
+            handle.wait().unwrap();
+        }
+        router.shutdown();
+        let after = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(after, empty, "no shard wrote the template's snapshot");
     }
 
     #[test]

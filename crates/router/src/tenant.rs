@@ -29,24 +29,12 @@ impl fmt::Display for TenantId {
     }
 }
 
-/// Bounds on one tenant's use of the router. The default is unlimited.
-///
-/// The effective in-flight limit is the tighter of the two bounds:
-///
-/// * [`max_in_flight`](TenantQuota::max_in_flight) — an absolute cap on
-///   jobs submitted but not yet resolved;
-/// * [`max_queue_share`](TenantQuota::max_queue_share) — a fraction of
-///   the router's **total** queue capacity (the sum of every shard's
-///   bounded queue depth), rounded up and never below 1. When any shard
-///   has an unbounded queue there is no meaningful total, and the share
-///   bound is inert.
+/// Bounds on one tenant's use of the router: a cap on its jobs submitted
+/// but not yet resolved. The default is unlimited.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct TenantQuota {
-    /// Absolute cap on in-flight jobs; `None` for unlimited.
+    /// Cap on in-flight jobs; `None` for unlimited.
     pub max_in_flight: Option<usize>,
-    /// Cap as a fraction of total shard queue capacity, in `(0, 1]`;
-    /// `None` for unlimited.
-    pub max_queue_share: Option<f64>,
 }
 
 impl TenantQuota {
@@ -61,41 +49,6 @@ impl TenantQuota {
     pub fn with_max_in_flight(mut self, limit: usize) -> Self {
         self.max_in_flight = Some(limit);
         self
-    }
-
-    /// Caps in-flight jobs at `share` of the router's total queue
-    /// capacity.
-    ///
-    /// # Panics
-    ///
-    /// If `share` is not in `(0, 1]`.
-    #[must_use]
-    pub fn with_max_queue_share(mut self, share: f64) -> Self {
-        assert!(
-            share > 0.0 && share <= 1.0,
-            "queue share must be in (0, 1], got {share}"
-        );
-        self.max_queue_share = Some(share);
-        self
-    }
-
-    /// The effective in-flight limit given the router's total bounded
-    /// queue capacity (`None` when any shard is unbounded).
-    pub(crate) fn effective_limit(&self, total_queue_depth: Option<usize>) -> Option<usize> {
-        let from_share = match (self.max_queue_share, total_queue_depth) {
-            (Some(share), Some(total)) => {
-                // Ceil of share × total, but never starve a tenant to 0.
-                #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-                let slots = (share * total as f64).ceil() as usize;
-                Some(slots.max(1))
-            }
-            _ => None,
-        };
-        match (self.max_in_flight, from_share) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (Some(a), None) => Some(a),
-            (None, b) => b,
-        }
     }
 }
 
@@ -182,35 +135,6 @@ pub struct TenantStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn effective_limit_combines_both_bounds() {
-        let unlimited = TenantQuota::unlimited();
-        assert_eq!(unlimited.effective_limit(Some(100)), None);
-        assert_eq!(unlimited.effective_limit(None), None);
-
-        let absolute = TenantQuota::unlimited().with_max_in_flight(5);
-        assert_eq!(absolute.effective_limit(Some(100)), Some(5));
-        assert_eq!(absolute.effective_limit(None), Some(5));
-
-        let share = TenantQuota::unlimited().with_max_queue_share(0.25);
-        assert_eq!(share.effective_limit(Some(100)), Some(25));
-        assert_eq!(share.effective_limit(Some(10)), Some(3)); // ceil(2.5)
-        assert_eq!(share.effective_limit(Some(1)), Some(1)); // floor of 1
-        assert_eq!(share.effective_limit(None), None); // inert when unbounded
-
-        let both = TenantQuota::unlimited()
-            .with_max_in_flight(5)
-            .with_max_queue_share(0.5);
-        assert_eq!(both.effective_limit(Some(4)), Some(2)); // share tighter
-        assert_eq!(both.effective_limit(Some(100)), Some(5)); // absolute tighter
-    }
-
-    #[test]
-    #[should_panic(expected = "queue share must be in (0, 1]")]
-    fn zero_share_is_refused() {
-        let _ = TenantQuota::unlimited().with_max_queue_share(0.0);
-    }
 
     #[test]
     fn reserve_is_a_hard_gate() {

@@ -1,14 +1,15 @@
 //! Batch preparation through the `mdq-engine` worker pool.
 //!
-//! Submits a mixed batch of dense and sparse preparation requests, shows
-//! that the parallel results are bit-identical to the one-shot pipeline,
-//! and resubmits the batch to demonstrate the fingerprint-keyed circuit
-//! cache.
+//! Submits a mixed batch of dense and sparse preparation requests with
+//! `EngineService::submit_batch`, waits on the handles in request order,
+//! shows that the parallel results are bit-identical to the one-shot
+//! pipeline, and resubmits the batch to demonstrate the fingerprint-keyed
+//! circuit cache.
 //!
 //! Run with: `cargo run --release --example batch_prepare`
 
 use mdq::core::{prepare, PrepareOptions};
-use mdq::engine::{BatchEngine, EngineConfig, PrepareRequest};
+use mdq::engine::{EngineConfig, EngineService, PrepareReport, PrepareRequest};
 use mdq::num::radix::Dims;
 use mdq::sim::StateVector;
 use mdq::states::{ghz, w_state};
@@ -32,16 +33,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PrepareRequest::dense(d3.clone(), ghz(&d3), PrepareOptions::exact()),
     ];
 
-    let engine = BatchEngine::new(EngineConfig::default().with_workers(2));
+    let service = EngineService::new(EngineConfig::default().with_workers(2));
     println!(
         "running {} requests on {} worker(s)…\n",
         batch.len(),
-        engine.config().workers.min(batch.len())
+        service.config().workers.min(batch.len())
     );
-    let reports = engine.run(&batch);
+    // Waiting on the handles in order yields the results in request order.
+    let run = |batch: &[PrepareRequest]| -> Result<Vec<PrepareReport>, _> {
+        service
+            .submit_batch(batch.iter().cloned())
+            .into_iter()
+            .map(|handle| handle.wait())
+            .collect()
+    };
+    let reports = run(&batch)?;
 
     for (index, report) in reports.iter().enumerate() {
-        let report = report.as_ref().expect("request succeeds");
         println!(
             "request {index}: {:>4} operations, {:>4} final edges, cached: {:<5} ({:?})",
             report.report.operations, report.report.nodes_final, report.from_cache, report.elapsed
@@ -51,8 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The duplicate request produced a bit-identical circuit. (Whether it
     // was served from the cache depends on worker scheduling in the cold
     // batch — usually yes; the warm resubmission below is guaranteed.)
-    let first = reports[0].as_ref().unwrap();
-    let duplicate = reports[4].as_ref().unwrap();
+    let (first, duplicate) = (&reports[0], &reports[4]);
     assert_eq!(first.circuit, duplicate.circuit);
 
     // Batch results are bit-identical to the one-shot pipeline…
@@ -67,12 +74,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(fidelity > 1.0 - 1e-9);
 
     // Resubmitting the whole batch is answered from the cache.
-    let warm = engine.run(&batch);
-    assert!(warm
-        .iter()
-        .all(|r| r.as_ref().expect("request succeeds").from_cache));
+    let warm = run(&batch)?;
+    assert!(warm.iter().all(|r| r.from_cache));
 
-    let stats = engine.stats();
+    let stats = service.stats();
     println!(
         "engine stats: {} jobs, {} cache hits / {} misses, {} circuits stored,",
         stats.jobs, stats.cache.hits, stats.cache.misses, stats.cache.entries
@@ -81,5 +86,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "              {} weight-table lookups, {} insertions across worker arenas",
         stats.weight_lookups, stats.weight_insertions
     );
+    service.shutdown();
     Ok(())
 }

@@ -5,13 +5,9 @@
 //! to disk on graceful shutdown. A "restarted" service loads the snapshot
 //! at construction and serves the identical workload entirely from the
 //! cache — same circuits, bit for bit, without running the pipeline
-//! again. Finally the restarted cache is frozen into a shared read-mostly
-//! `HotTier`, which a third service consults on its own cache misses —
-//! the pattern for sharing hot entries between services in one process.
+//! again.
 //!
 //! Run with: `cargo run --release --example warm_restart`
-
-use std::sync::Arc;
 
 use mdq::core::PrepareOptions;
 use mdq::engine::{EngineConfig, EngineService, PrepareRequest};
@@ -88,27 +84,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .iter()
         .zip(&warm)
         .all(|(c, w)| c.circuit == w.circuit && w.from_cache);
-    println!("snapshot-served circuits bit-identical to the cold run: {identical}\n");
+    println!("snapshot-served circuits bit-identical to the cold run: {identical}");
     assert!(identical);
-
-    // ── Sharing: freeze the warm cache into a read-mostly hot tier ─────
-    let tier = Arc::new(second.cache().freeze());
     second.shutdown();
-    let third = EngineService::new(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_hot_tier(Arc::clone(&tier)),
-    );
-    let report = third.submit(workload[0].clone()).wait()?;
-    let stats = third.cache().stats();
-    println!(
-        "process 3 (shared tier of {} entries): from_cache {}, hot-tier hits {}, own entries {}",
-        tier.len(),
-        report.from_cache,
-        stats.hot_hits,
-        stats.entries
-    );
-    third.shutdown();
     std::fs::remove_file(&path)?;
     Ok(())
 }

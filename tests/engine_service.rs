@@ -1,12 +1,15 @@
 //! Properties of the persistent `EngineService`, driven through the `mdq`
-//! facade: streamed submissions with shuffled priorities must resolve to
-//! circuits bit-identical to the one-shot sequential pipeline at every
-//! worker count; shutdown under load must resolve every pending handle
+//! facade: streamed and batched submissions with shuffled priorities must
+//! resolve to circuits bit-identical to the one-shot sequential pipeline
+//! at every worker count, and a warm resubmission must replay them from
+//! the cache; shutdown under load must resolve every pending handle
 //! (never hang); and workers — with their warmed arenas — must persist
 //! across submission waves.
 
 use mdq::core::PrepareOptions;
-use mdq::engine::{EngineConfig, EngineService, JobHandle, PrepareRequest, Priority};
+use mdq::engine::{
+    EngineConfig, EngineService, JobHandle, PrepareReport, PrepareRequest, Priority,
+};
 use mdq::num::radix::Dims;
 use mdq::num::Complex;
 use mdq::states::{ghz, w_state};
@@ -103,9 +106,10 @@ fn arb_stream() -> impl Strategy<Value = Vec<PrepareRequest>> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Streamed submissions resolve bit-identical to the sequential
-    /// one-shot pipeline at 1, 2, and 4 workers, regardless of the
-    /// shuffled priorities, the size-aware scheduling, or cache replays.
+    /// Submissions resolve bit-identical to the sequential one-shot
+    /// pipeline at 1, 2, and 4 workers, streamed one by one or as one
+    /// batch, regardless of the shuffled priorities, the size-aware
+    /// scheduling, or cache replays.
     #[test]
     fn prop_streamed_submissions_match_sequential_prepare(stream in arb_stream()) {
         let expected: Vec<mdq::circuit::Circuit> = stream
@@ -113,25 +117,54 @@ proptest! {
             .map(|request| request.prepare_sequential().expect("pipeline runs").circuit)
             .collect();
         for workers in [1usize, 2, 4] {
-            let service = EngineService::new(EngineConfig::default().with_workers(workers));
-            // Stream one by one — the submission path, not the batch path.
-            let handles: Vec<JobHandle> =
-                stream.iter().cloned().map(|r| service.submit(r)).collect();
-            for (index, (handle, want)) in handles.into_iter().zip(&expected).enumerate() {
-                let report = handle.wait().expect("job succeeds");
-                prop_assert_eq!(
-                    &report.circuit,
-                    want,
-                    "request {} at {} workers",
-                    index,
-                    workers
-                );
+            for batched in [false, true] {
+                let service = EngineService::new(EngineConfig::default().with_workers(workers));
+                let handles: Vec<JobHandle> = if batched {
+                    service.submit_batch(stream.iter().cloned())
+                } else {
+                    stream.iter().cloned().map(|r| service.submit(r)).collect()
+                };
+                for (index, (handle, want)) in handles.into_iter().zip(&expected).enumerate() {
+                    let report = handle.wait().expect("job succeeds");
+                    prop_assert_eq!(
+                        &report.circuit,
+                        want,
+                        "request {} at {} workers (batched: {})",
+                        index,
+                        workers,
+                        batched
+                    );
+                }
+                // Duplicated requests guarantee cache traffic on every run.
+                let stats = service.stats();
+                prop_assert!(stats.cache.hits + stats.cache.misses > 0);
+                service.shutdown();
             }
-            // Duplicated requests guarantee cache traffic on every run.
-            let stats = service.stats();
-            prop_assert!(stats.cache.hits + stats.cache.misses > 0);
-            service.shutdown();
         }
+    }
+
+    /// Resubmitting a batch to a warm service is served from the cache and
+    /// stays bit-identical to the cold run.
+    #[test]
+    fn prop_warm_resubmission_replays_identically(stream in arb_stream()) {
+        let service = EngineService::new(EngineConfig::default().with_workers(2));
+        let run = || -> Vec<PrepareReport> {
+            service
+                .submit_batch(stream.iter().cloned())
+                .into_iter()
+                .map(|handle| handle.wait().expect("job succeeds"))
+                .collect()
+        };
+        let cold = run();
+        let warm = run();
+        let mut hits = 0u64;
+        for (cold_report, warm_report) in cold.iter().zip(&warm) {
+            prop_assert_eq!(&cold_report.circuit, &warm_report.circuit);
+            hits += u64::from(warm_report.from_cache);
+        }
+        prop_assert!(hits > 0, "warm resubmission must hit the cache");
+        prop_assert!(service.stats().cache.hits >= hits);
+        service.shutdown();
     }
 }
 
