@@ -14,6 +14,7 @@ use mdq::num::radix::Dims;
 use mdq::num::Complex;
 use mdq::states::{ghz, w_state};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 /// Random mixed-radix registers of 1–3 qudits with local dimensions 2–4
 /// (small enough that a proptest case runs dozens of pipelines quickly).
@@ -103,44 +104,62 @@ fn arb_stream() -> impl Strategy<Value = Vec<PrepareRequest>> {
         })
 }
 
+/// The sequential reference: every request through the one-shot pipeline.
+fn sequential_circuits(stream: &[PrepareRequest]) -> Vec<mdq::circuit::Circuit> {
+    stream
+        .iter()
+        .map(|request| request.prepare_sequential().expect("pipeline runs").circuit)
+        .collect()
+}
+
+/// Submits `stream` to a fresh service at 1, 2, and 4 workers — one by one,
+/// or as one batch — and checks every resolved circuit against the
+/// sequential reference.
+fn check_against_sequential(stream: &[PrepareRequest], batched: bool) -> Result<(), TestCaseError> {
+    let expected = sequential_circuits(stream);
+    for workers in [1usize, 2, 4] {
+        let service = EngineService::new(EngineConfig::default().with_workers(workers));
+        let handles: Vec<JobHandle> = if batched {
+            service.submit_batch(stream.iter().cloned())
+        } else {
+            stream.iter().cloned().map(|r| service.submit(r)).collect()
+        };
+        prop_assert_eq!(handles.len(), expected.len());
+        for (index, (handle, want)) in handles.into_iter().zip(&expected).enumerate() {
+            let report = handle.wait().expect("job succeeds");
+            prop_assert_eq!(
+                &report.circuit,
+                want,
+                "request {} at {} workers (batched: {})",
+                index,
+                workers,
+                batched
+            );
+        }
+        // Duplicated requests guarantee cache traffic on every run.
+        let stats = service.stats();
+        prop_assert!(stats.cache.hits + stats.cache.misses > 0);
+        service.shutdown();
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Submissions resolve bit-identical to the sequential one-shot
-    /// pipeline at 1, 2, and 4 workers, streamed one by one or as one
-    /// batch, regardless of the shuffled priorities, the size-aware
-    /// scheduling, or cache replays.
+    /// Streamed submissions resolve bit-identical to the sequential
+    /// one-shot pipeline at 1, 2, and 4 workers, regardless of the
+    /// shuffled priorities, the size-aware scheduling, or cache replays.
     #[test]
     fn prop_streamed_submissions_match_sequential_prepare(stream in arb_stream()) {
-        let expected: Vec<mdq::circuit::Circuit> = stream
-            .iter()
-            .map(|request| request.prepare_sequential().expect("pipeline runs").circuit)
-            .collect();
-        for workers in [1usize, 2, 4] {
-            for batched in [false, true] {
-                let service = EngineService::new(EngineConfig::default().with_workers(workers));
-                let handles: Vec<JobHandle> = if batched {
-                    service.submit_batch(stream.iter().cloned())
-                } else {
-                    stream.iter().cloned().map(|r| service.submit(r)).collect()
-                };
-                for (index, (handle, want)) in handles.into_iter().zip(&expected).enumerate() {
-                    let report = handle.wait().expect("job succeeds");
-                    prop_assert_eq!(
-                        &report.circuit,
-                        want,
-                        "request {} at {} workers (batched: {})",
-                        index,
-                        workers,
-                        batched
-                    );
-                }
-                // Duplicated requests guarantee cache traffic on every run.
-                let stats = service.stats();
-                prop_assert!(stats.cache.hits + stats.cache.misses > 0);
-                service.shutdown();
-            }
-        }
+        check_against_sequential(&stream, false)?;
+    }
+
+    /// The same stream submitted as one batch resolves bit-identical to the
+    /// sequential one-shot pipeline at 1, 2, and 4 workers.
+    #[test]
+    fn prop_batch_is_bit_identical_to_sequential_prepare(stream in arb_stream()) {
+        check_against_sequential(&stream, true)?;
     }
 
     /// Resubmitting a batch to a warm service is served from the cache and
