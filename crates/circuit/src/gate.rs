@@ -152,6 +152,26 @@ impl Gate {
         }
     }
 
+    /// The 2×2 block of a Givens rotation `G(θ, φ)`, row-major over the
+    /// levels `(lo, hi)`: `[[c, a₀₁], [a₁₀, c]]`. [`Gate::matrix`] embeds
+    /// exactly these entries, so code that applies the rotation row by row
+    /// reads the same numbers.
+    #[must_use]
+    pub fn givens_block(theta: f64, phi: f64) -> [[Complex; 2]; 2] {
+        let c = Complex::real((theta / 2.0).cos());
+        let s = (theta / 2.0).sin();
+        let a01 = Complex::new(0.0, -1.0) * Complex::cis(-phi) * s;
+        let a10 = Complex::new(0.0, -1.0) * Complex::cis(phi) * s;
+        [[c, a01], [a10, c]]
+    }
+
+    /// The diagonal entries at `(lo, lo)` and `(hi, hi)` of a Z rotation
+    /// `Z(θ)`, as [`Gate::matrix`] embeds them.
+    #[must_use]
+    pub fn z_rotation_diagonal(theta: f64) -> [Complex; 2] {
+        [Complex::cis(theta / 2.0), Complex::cis(-theta / 2.0)]
+    }
+
     /// The dense `d×d` matrix of the gate.
     ///
     /// # Panics
@@ -164,10 +184,7 @@ impl Gate {
             Gate::Givens { lo, hi, theta, phi } => {
                 assert!(*hi < d, "Givens level {hi} out of range for dimension {d}");
                 let mut m = CMatrix::identity(d);
-                let c = Complex::real((theta / 2.0).cos());
-                let s = (theta / 2.0).sin();
-                let a01 = Complex::new(0.0, -1.0) * Complex::cis(-phi) * s;
-                let a10 = Complex::new(0.0, -1.0) * Complex::cis(*phi) * s;
+                let [[c, a01], [a10, _]] = Gate::givens_block(*theta, *phi);
                 m.set(*lo, *lo, c);
                 m.set(*hi, *hi, c);
                 m.set(*lo, *hi, a01);
@@ -189,8 +206,9 @@ impl Gate {
                     "Z-rotation level {hi} out of range for dimension {d}"
                 );
                 let mut m = CMatrix::identity(d);
-                m.set(*lo, *lo, Complex::cis(theta / 2.0));
-                m.set(*hi, *hi, Complex::cis(-theta / 2.0));
+                let [at_lo, at_hi] = Gate::z_rotation_diagonal(*theta);
+                m.set(*lo, *lo, at_lo);
+                m.set(*hi, *hi, at_hi);
                 m
             }
             Gate::Shift { amount } => {

@@ -652,12 +652,22 @@ impl Preparer {
     ///
     /// [`PrepareError::Replay`] when the circuit cannot be replayed on a
     /// diagram (below-target controls, arena overflow).
+    /// [`PrepareError::Build`] with [`BuildError::WrongLength`] when
+    /// `target` does not have the register's length; the check runs before
+    /// the replay, so the replay scratch survives the refusal.
     pub fn verify_dense(
         &mut self,
         circuit: &Circuit,
         target: &[Complex],
     ) -> Result<VerificationReport, PrepareError> {
         let t0 = Instant::now();
+        let expected = circuit.dims().space_size();
+        if target.len() != expected {
+            return Err(PrepareError::Build(BuildError::WrongLength {
+                expected,
+                got: target.len(),
+            }));
+        }
         let replayed = self
             .replay_recycled(circuit)
             .map_err(PrepareError::Replay)?;
@@ -1375,6 +1385,27 @@ mod tests {
             .verify_sparse(&result.circuit, &split, Tolerance::default())
             .unwrap();
         assert!((split_report.fidelity - report.fidelity).abs() < 1e-12);
+    }
+
+    #[test]
+    fn verify_dense_rejects_a_target_of_the_wrong_length() {
+        let d = dims(&[3, 6, 2]);
+        let mut preparer = Preparer::new();
+        let result = preparer
+            .prepare(&d, &ghz(&d), PrepareOptions::exact())
+            .unwrap();
+        preparer.verify_dense(&result.circuit, &ghz(&d)).unwrap();
+        assert!(preparer.replay_scratch.is_some());
+        let short = vec![Complex::real(1.0 / 18.0_f64.sqrt()); 18];
+        assert_eq!(
+            preparer.verify_dense(&result.circuit, &short).unwrap_err(),
+            PrepareError::Build(BuildError::WrongLength {
+                expected: 36,
+                got: 18
+            })
+        );
+        // The refusal comes before the replay, so its scratch survives.
+        assert!(preparer.replay_scratch.is_some());
     }
 
     #[test]

@@ -148,24 +148,132 @@ mod tests {
         assert!((f - 1.0).abs() < 1e-9, "fidelity {f}");
     }
 
+    fn normalized(amps: &[Complex]) -> Vec<Complex> {
+        let norm = mdq_num::norm(amps);
+        amps.iter().map(|a| *a / norm).collect()
+    }
+
+    /// The dense vector of a support list: duplicates summed, normalized.
+    fn densify(d: &Dims, entries: &[(Vec<usize>, Complex)]) -> Vec<Complex> {
+        let mut amps = vec![Complex::ZERO; d.space_size()];
+        for (digits, a) in entries {
+            amps[d.index_of(digits)] += *a;
+        }
+        normalized(&amps)
+    }
+
     #[test]
     fn dd_verification_agrees_with_dense_verification() {
-        let d = dims(&[3, 6, 2]);
-        let mut rng = StdRng::seed_from_u64(9);
-        for target in [
-            ghz(&d),
-            w_state(&d),
-            random_state(&d, RandomKind::ReImUniform, &mut rng),
-        ] {
-            let result = prepare(&d, &target, PrepareOptions::exact()).unwrap();
-            let dense = prepared_fidelity(&result.circuit, &target);
-            let target_dd =
-                mdq_dd::StateDd::from_amplitudes(&d, &target, mdq_dd::BuildOptions::default())
-                    .unwrap();
-            let via_dd = prepared_fidelity_dd(&result.circuit, &target_dd);
-            assert!((dense - via_dd).abs() < 1e-9, "{dense} vs {via_dd}");
-            assert!((via_dd - 1.0).abs() < 1e-9);
+        // The DD-versus-state-vector check of Mato, Hillmich and Wille
+        // (arXiv 2308.12332): `prepared_fidelity_dd` and the serving path's
+        // `Preparer::verify_dense` and `verify_sparse` against the dense
+        // `mdq-sim` fidelity, for every `mdq-states` generator under every
+        // pipeline variant. One warm preparer serves every case, so each
+        // replay runs on the arena and memo tables the previous one left.
+        use mdq_states::{basis_state, cyclic, dicke, product_state, sparse, uniform};
+        use rand::Rng;
+
+        let mut rng = StdRng::seed_from_u64(41);
+        let mut registers = vec![dims(&[3, 6, 2])];
+        while registers.len() < 3 {
+            let width = rng.gen_range(2usize..7);
+            let v: Vec<usize> = (0..width).map(|_| rng.gen_range(2usize..8)).collect();
+            if v.iter().product::<usize>() <= 4096 {
+                registers.push(dims(&v));
+            }
         }
+        let variants = [
+            PrepareOptions::exact(),
+            PrepareOptions::approximated(0.98),
+            // Elided controls: the replay's generic sparse-control path.
+            PrepareOptions::exact().with_reduction(),
+            PrepareOptions::exact().without_zero_subtrees(),
+        ];
+        let mut preparer = crate::Preparer::new();
+        let mut cases = 0;
+        for d in &registers {
+            let n = d.len();
+            let top: Vec<usize> = (0..n).map(|q| d.dim(q) - 1).collect();
+            let seed: Vec<usize> = (0..n).map(|q| usize::from(q == 0)).collect();
+            let factors: Vec<Vec<Complex>> = (0..n)
+                .map(|q| {
+                    (0..d.dim(q))
+                        .map(|k| Complex::new(1.0 + k as f64, 0.5 * q as f64))
+                        .collect()
+                })
+                .collect();
+            let dense_targets = [
+                ghz(d),
+                w_state(d),
+                embedded_w(d),
+                random_state(d, RandomKind::ReImUniform, &mut rng),
+                random_state(d, RandomKind::MagnitudePhase, &mut rng),
+                uniform(d),
+                basis_state(d, &top),
+                product_state(d, &factors),
+                dicke(d, 2),
+                cyclic(d, &seed),
+            ];
+            let sparse_targets = [
+                sparse::ghz(d),
+                sparse::w_state(d),
+                sparse::embedded_w(d),
+                sparse::random_sparse(d, 32, &mut rng),
+                sparse::basis_state(d, &top),
+                sparse::dicke(d, 2),
+                sparse::cyclic(d, &seed),
+            ];
+            for opts in variants {
+                // Replay and DD agree with the dense fidelity, and both lie
+                // in [floor, 1]: within 1e-9 of 1 for exact variants, at
+                // least the target for 98 % ones.
+                let floor = opts.fidelity_threshold.unwrap_or(1.0) - 1e-9;
+                let holds = |replayed: f64, via_dd: f64, dense: f64| {
+                    (replayed - dense).abs() < 1e-9
+                        && (via_dd - dense).abs() < 1e-9
+                        && [replayed, via_dd]
+                            .iter()
+                            .all(|f| (floor..1.0 + 1e-9).contains(f))
+                };
+                for target in &dense_targets {
+                    let result = preparer.prepare(d, target, opts).unwrap();
+                    let (circuit, _) = preparer.recycle(result);
+                    let replayed = preparer.verify_dense(&circuit, target).unwrap().fidelity;
+                    let dense = prepared_fidelity(&circuit, &normalized(target));
+                    let target_dd = mdq_dd::StateDd::from_amplitudes(
+                        d,
+                        target,
+                        mdq_dd::BuildOptions::default(),
+                    )
+                    .unwrap();
+                    let via_dd = prepared_fidelity_dd(&circuit, &target_dd);
+                    assert!(
+                        holds(replayed, via_dd, dense),
+                        "{d:?} {opts:?}: replay {replayed}, DD {via_dd}, dense {dense}"
+                    );
+                    cases += 1;
+                }
+                for entries in &sparse_targets {
+                    let result = preparer.prepare_sparse(d, entries, opts).unwrap();
+                    let (circuit, _) = preparer.recycle(result);
+                    let replayed = preparer
+                        .verify_sparse(&circuit, entries, opts.tolerance)
+                        .unwrap()
+                        .fidelity;
+                    let dense = prepared_fidelity(&circuit, &densify(d, entries));
+                    let target_dd =
+                        mdq_dd::StateDd::from_sparse(d, entries, mdq_dd::BuildOptions::default())
+                            .unwrap();
+                    let via_dd = prepared_fidelity_dd(&circuit, &target_dd);
+                    assert!(
+                        holds(replayed, via_dd, dense),
+                        "{d:?} {opts:?} sparse: replay {replayed}, DD {via_dd}, dense {dense}"
+                    );
+                    cases += 1;
+                }
+            }
+        }
+        assert_eq!(cases, 3 * 4 * 17);
     }
 
     #[test]

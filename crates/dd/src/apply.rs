@@ -13,15 +13,19 @@
 //! weighted-sum steps memoize through a [`ComputeCache`].
 //! [`StateDd::apply_circuit`] threads one arena and one cache through every
 //! instruction of a circuit and compacts the arena once at the end, so a
-//! whole simulation run allocates a single node store. Whole-circuit
-//! application additionally **fuses** runs of instructions sharing one
-//! target and control set into a single matrix (skipping exact identities),
-//! and edits full control paths through a frame stack ([`PathEditor`]) so
-//! consecutive instructions sharing path prefixes — the synthesizer's DFS
-//! emission order — re-intern each path node once per context switch
-//! instead of once per instruction. This is what makes replay
-//! *verification* of synthesized circuits cost the same order as the
-//! preparation pipeline itself.
+//! whole simulation run allocates a single node store (its docs give the
+//! rule for rebuilding it mid-run). Whole-circuit application additionally:
+//!
+//! * **fuses** each run of instructions sharing one target and control set
+//!   into a single matrix, updated in place (a rotation rewrites two rows,
+//!   a level phase one), and skips the run when the product is an exact
+//!   identity;
+//! * edits full control paths through a frame stack ([`PathEditor`]) that
+//!   keeps the current path open, so each path node is interned once, when
+//!   the synthesizer's DFS emission order leaves it for good.
+//!
+//! This is what makes replay *verification* of synthesized circuits cost
+//! the same order as the preparation pipeline itself.
 //!
 //! The supported instruction shape matches what the synthesizer emits:
 //! every control qudit must be *more significant* than the target (controls
@@ -30,6 +34,7 @@
 
 use std::fmt;
 
+use mdq_circuit::Gate;
 use mdq_num::matrix::CMatrix;
 use mdq_num::radix::Dims;
 use mdq_num::{Complex, Tolerance};
@@ -122,6 +127,66 @@ fn is_identity(matrix: &CMatrix) -> bool {
     true
 }
 
+/// Left-multiplies the fused run matrix by the next gate, in place:
+/// `fused ← G · fused`.
+///
+/// A level phase rewrites only its own row, and a Z or Givens rotation
+/// with ascending levels only rows `lo` and `hi`, from the entries
+/// [`Gate::matrix`] embeds ([`Gate::z_rotation_diagonal`],
+/// [`Gate::givens_block`]). Each rewritten entry is accumulated exactly as
+/// `&G * fused` accumulates it, so the buffer is `==` to the full product
+/// entry by entry: on the untouched rows only the sign of a zero can
+/// differ, and zero entries are skipped downstream whatever their sign.
+/// Every other gate, and a rotation whose levels are not ascending (a
+/// decoded circuit may carry one), takes the full product.
+fn fuse_left(fused: &mut CMatrix, gate: &Gate, d: usize) {
+    match *gate {
+        Gate::PhaseLevel { level, angle } => scale_row(fused, level, Complex::cis(angle), d),
+        Gate::ZRotation { lo, hi, theta } if lo < hi => {
+            let [at_lo, at_hi] = Gate::z_rotation_diagonal(theta);
+            scale_row(fused, lo, at_lo, d);
+            scale_row(fused, hi, at_hi, d);
+        }
+        Gate::Givens { lo, hi, theta, phi } if lo < hi => {
+            // `&G * fused` sums a row's terms in column order: `lo`, `hi`.
+            let [[g00, g01], [g10, g11]] = Gate::givens_block(theta, phi);
+            for j in 0..d {
+                let (a, b) = (fused.get(lo, j), fused.get(hi, j));
+                fused.set(lo, j, row_sum(&[(g00, a), (g01, b)]));
+                fused.set(hi, j, row_sum(&[(g10, a), (g11, b)]));
+            }
+        }
+        _ => *fused = &gate.matrix(d) * fused,
+    }
+}
+
+/// Multiplies row `row` of `fused` by `value`, as a diagonal gate entry.
+fn scale_row(fused: &mut CMatrix, row: usize, value: Complex, d: usize) {
+    for j in 0..d {
+        let x = fused.get(row, j);
+        fused.set(row, j, row_sum(&[(value, x)]));
+    }
+}
+
+/// `Σ g · x` over `(g, x)` terms, accumulated as [`CMatrix`]'s product
+/// accumulates one entry: from zero, in order, skipping coefficients that
+/// are exactly zero.
+fn row_sum(terms: &[(Complex, Complex)]) -> Complex {
+    let mut acc = Complex::ZERO;
+    for &(g, x) in terms {
+        if g != Complex::ZERO {
+            acc += g * x;
+        }
+    }
+    acc
+}
+
+/// The arena length at which whole-circuit application next counts its
+/// live nodes; see [`StateDd::apply_circuit`].
+fn next_checkpoint(live: usize, limit: usize) -> usize {
+    (2 * live + 1024).min(live + limit.saturating_sub(live) / 2)
+}
+
 /// Checks whether `controls` form the *full* path above `target` — one
 /// control on every qudit `0..target` — and returns the per-level control
 /// levels in qudit order if so. Synthesized circuits always have this
@@ -179,10 +244,12 @@ struct Frame {
 /// subtree at their target; consecutive instructions (synthesis order is a
 /// DFS over contexts) share long path prefixes. The editor keeps the
 /// current path *open* — one [`Frame`] per level, edges editable in place
-/// — and only interns a path node when the next instruction leaves it
-/// (or the circuit ends). Total path interning drops from
-/// `O(instructions × depth)` to `O(context switches)`, which is what makes
-/// replay verification affordable next to the pipeline itself.
+/// — and interns a path node only when the next instruction's path leaves
+/// it (or the circuit ends). A move to another child of an open node
+/// closes only the frames below it and redirects its branch, so under DFS
+/// order each path node is interned once, when the path leaves it for
+/// good: total path interning is `O(path nodes)`, not
+/// `O(instructions × depth)`.
 #[derive(Default)]
 struct PathEditor {
     stack: Vec<Frame>,
@@ -245,8 +312,18 @@ impl PathEditor {
         {
             common += 1;
         }
-        while self.stack.len() > common {
-            self.close_one(state)?;
+        if common < self.stack.len() && common < target {
+            // The path leaves the open node at level `common` through
+            // another child: close only the frames below it, which patches
+            // the old branch, and keep the node itself open.
+            while self.stack.len() > common + 1 {
+                self.close_one(state)?;
+            }
+            self.stack[common].branch = path[common];
+        } else {
+            while self.stack.len() > common {
+                self.close_one(state)?;
+            }
         }
         // Open the remaining levels of this instruction's path.
         while self.stack.len() < target {
@@ -640,8 +717,16 @@ impl StateDd {
 
     /// Applies a whole circuit to the diagram (see [`StateDd::apply`]),
     /// threading one arena and one compute cache through every instruction
-    /// and compacting the node store when it grows past twice the live
-    /// size — one pipeline run, one arena.
+    /// — one pipeline run, one arena, compacted once at the end.
+    ///
+    /// Superseded nodes stay in the arena as garbage. Each time the arena
+    /// grows past a checkpoint (twice the live node count plus 1 024, or
+    /// halfway from the live count to the node limit if that is lower), the
+    /// live nodes are counted, and the arena is rebuilt only if garbage
+    /// outnumbers them or the arena is past half its node limit. Replays of
+    /// synthesized circuits leave less garbage than live nodes and were not
+    /// seen to rebuild; circuits with sparse control sets take the generic
+    /// per-run path, whose garbage this rule keeps bounded.
     ///
     /// # Errors
     ///
@@ -707,7 +792,7 @@ impl StateDd {
             "circuit register differs from diagram register"
         );
         let mut state = self;
-        let mut live = state.arena.len().max(64);
+        let mut checkpoint = next_checkpoint(state.arena.len(), state.arena.node_limit());
         // The synthesizer emits *runs* of instructions sharing one target
         // and one control set (each diagram node contributes d−1 Givens
         // plus a phase rotation under the same path context). Fuse each
@@ -718,13 +803,13 @@ impl StateDd {
         let instructions: Vec<&mdq_circuit::Instruction> = circuit.iter().collect();
         // One arena for the whole run: the weighted-sum memo stays valid
         // across instructions (see `ComputeCache::begin_instruction`) and
-        // is flushed only when compaction replaces the arena.
+        // is flushed only when a rebuild replaces the arena.
         cache.begin_op();
         // Consecutive contexts additionally share control-path *prefixes*
         // (synthesis emits them in DFS order), so the path from the root
         // to each target is kept "open" in a frame stack and every path
-        // node is re-interned once per context *switch* instead of once
-        // per instruction — see `PathEditor`.
+        // node is interned once, when the path leaves it for good — see
+        // `PathEditor`.
         let mut editor = PathEditor::default();
         let mut i = 0;
         while i < instructions.len() {
@@ -741,7 +826,7 @@ impl StateDd {
                 && instructions[j].controls == head.controls
             {
                 // Later gates act after earlier ones: U = U_j · … · U_i.
-                matrix = &instructions[j].gate.matrix(d) * &matrix;
+                fuse_left(&mut matrix, &instructions[j].gate, d);
                 j += 1;
             }
             i = j;
@@ -761,13 +846,19 @@ impl StateDd {
                 editor.close_all(&mut state)?;
                 state.apply_matrix_mut_with(target, &head.controls, &matrix, cache, true)?;
             }
-            if state.arena.len() > 2 * live + 1024 {
-                // Compaction rebuilds the arena: close the editor (its
-                // frames hold node ids) and flush the sum memo.
+            if state.arena.len() > checkpoint {
+                // The rebuild rule of `apply_circuit`. The editor's frames
+                // are part of the live diagram, so close them first; a
+                // rebuild replaces the arena, so the sum memo goes too.
                 editor.close_all(&mut state)?;
-                state = state.compacted();
-                live = state.arena.len().max(64);
-                cache.begin_op();
+                let live = state.live_node_count();
+                let len = state.arena.len();
+                let limit = state.arena.node_limit();
+                if len - live > live || len > limit / 2 {
+                    state = state.compacted();
+                    cache.begin_op();
+                }
+                checkpoint = next_checkpoint(live, limit);
             }
         }
         editor.close_all(&mut state)?;
@@ -779,7 +870,9 @@ impl StateDd {
 mod tests {
     use super::*;
     use crate::BuildOptions;
-    use mdq_circuit::{Circuit, Control, Gate, Instruction};
+    use mdq_circuit::{Circuit, Control, Instruction};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn dims(v: &[usize]) -> Dims {
         Dims::new(v.to_vec()).unwrap()
@@ -1168,6 +1261,194 @@ mod tests {
         let out = dd.apply_circuit(&c).unwrap();
         assert_eq!(out.node_count(), dd.node_count());
         assert!((out.fidelity(&dd) - 1.0).abs() < 1e-15);
+    }
+
+    /// An angle in `[-4, 4)`, exactly zero one time in three.
+    fn arb_angle() -> impl Strategy<Value = f64> {
+        (0usize..3, -4.0..4.0f64).prop_map(|(zero, a)| if zero == 0 { 0.0 } else { a })
+    }
+
+    /// A gate on a `d`-level qudit: mostly the synthesizer's rotations on
+    /// ascending levels and level phases, one in eight a shift, a Fourier
+    /// gate or an explicit unitary.
+    fn arb_gate(d: usize) -> impl Strategy<Value = Gate> {
+        (0usize..8, 0..d - 1, 0..d, arb_angle(), arb_angle()).prop_map(
+            move |(kind, lo, other, theta, phi)| {
+                let hi = lo + 1 + other % (d - 1 - lo);
+                match kind {
+                    0..=2 => Gate::givens(lo, hi, theta, phi),
+                    3 | 4 => Gate::z_rotation(lo, hi, theta),
+                    5 | 6 => Gate::phase(other, theta),
+                    _ => match other % 3 {
+                        0 => Gate::shift(lo as i64 - other as i64),
+                        1 => Gate::Fourier {
+                            inverse: theta < 0.0,
+                        },
+                        _ => Gate::Unitary(Gate::givens(lo, hi, theta, phi).matrix(d)),
+                    },
+                }
+            },
+        )
+    }
+
+    /// Like [`arb_gate`], but one gate in four is a rotation whose levels
+    /// come in any order or coincide, as a decoded circuit may carry them.
+    fn arb_decoded_gate(d: usize) -> impl Strategy<Value = Gate> {
+        (0usize..8, arb_gate(d), 0..d, 0..d, arb_angle(), arb_angle()).prop_map(
+            |(kind, gate, lo, hi, theta, phi)| match kind {
+                0 => Gate::Givens { lo, hi, theta, phi },
+                1 => Gate::ZRotation { lo, hi, theta },
+                _ => gate,
+            },
+        )
+    }
+
+    /// One to four gates sharing a target and a control set over `d`. The
+    /// control set is the full path above the target, or one time in four
+    /// that path less one control (a sparse control set).
+    fn arb_run(d: Dims) -> impl Strategy<Value = Vec<Instruction>> {
+        (0..d.len()).prop_flat_map(move |target| {
+            let d = d.clone();
+            let gates = vec(arb_gate(d.dim(target)), 1..5);
+            (vec(0usize..12, target), 0usize..4, 0..target.max(1), gates).prop_map(
+                move |(levels, sparse, drop, gates)| {
+                    let mut controls: Vec<Control> = (0..target)
+                        .map(|q| Control::new(q, levels[q] % d.dim(q)))
+                        .collect();
+                    if sparse == 0 && target > 0 {
+                        controls.remove(drop);
+                    }
+                    gates
+                        .into_iter()
+                        .map(|g| Instruction::controlled(target, g, controls.clone()))
+                        .collect()
+                },
+            )
+        })
+    }
+
+    /// A register of one to four qudits (one deeper than `arb_dims`, so
+    /// control paths reach three levels), an initial state, and a circuit
+    /// of up to 39 runs whose contexts come in any order, so paths are left
+    /// and revisited. The initial state is the ground state one time in
+    /// four; otherwise a random state with about a third of its amplitudes
+    /// zeroed, so that some control paths lead into zero-amplitude branches.
+    fn arb_replay_case() -> impl Strategy<Value = (StateDd, Circuit)> {
+        vec(2usize..5, 1..5).prop_flat_map(|v| {
+            let d = Dims::new(v).unwrap();
+            let n = d.space_size();
+            let state = (
+                0usize..4,
+                crate::proptests::arb_state(&d),
+                vec(0usize..3, n),
+            );
+            (Just(d.clone()), state, vec(arb_run(d), 1..40)).prop_map(
+                |(d, (ground, mut amps, mask), runs)| {
+                    for (a, keep) in amps.iter_mut().zip(mask) {
+                        if keep == 0 {
+                            *a = Complex::ZERO;
+                        }
+                    }
+                    let norm = mdq_num::norm(&amps);
+                    let initial = if ground == 0 || norm < 1e-6 {
+                        StateDd::ground(&d)
+                    } else {
+                        let amps: Vec<Complex> = amps.iter().map(|a| *a / norm).collect();
+                        StateDd::from_amplitudes(&d, &amps, BuildOptions::default()).unwrap()
+                    };
+                    let mut c = Circuit::new(d);
+                    for instr in runs.into_iter().flatten() {
+                        c.push(instr).unwrap();
+                    }
+                    (initial, c)
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_in_place_fusion_equals_the_product(
+            (d, gates) in (2usize..8).prop_flat_map(|d| (Just(d), vec(arb_decoded_gate(d), 1..9)))
+        ) {
+            let mut product = gates[0].matrix(d);
+            let mut fused = product.clone();
+            for g in &gates[1..] {
+                product = &g.matrix(d) * &product;
+                fuse_left(&mut fused, g, d);
+            }
+            prop_assert_eq!(fused, product, "{:?}", gates);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn prop_circuit_application_matches_per_instruction((initial, c) in arb_replay_case()) {
+            let mut reference = initial.clone();
+            for instr in c.iter() {
+                reference = reference.apply(instr).unwrap();
+            }
+            let mut cache = ComputeCache::new();
+            let raw = initial.apply_circuit_consuming(&c, &mut cache).unwrap();
+            let (got, want) = (raw.to_amplitudes(), reference.to_amplitudes());
+            for (k, (a, b)) in got.iter().zip(&want).enumerate() {
+                prop_assert!(a.approx_eq(*b, 1e-9), "amplitude {}: {} vs {}", k, a, b);
+            }
+            prop_assert_eq!(raw.live_node_count(), raw.clone().compacted().node_count());
+        }
+    }
+
+    #[test]
+    fn generic_path_garbage_stays_bounded() {
+        // Sparse control sets take the generic per-run path, which leaves
+        // every superseded node in the arena. Under a node limit below
+        // what the whole replay interns, but well above the live diagram,
+        // the garbage-driven rebuild must keep the replay inside the limit.
+        let d = dims(&[3, 3, 3, 3, 3, 3]);
+        // Quadratic phases and uneven magnitudes: no digit-wise structure
+        // for the diagram to share.
+        let amps: Vec<Complex> = (0..d.space_size())
+            .map(|k| {
+                let x = k as f64;
+                Complex::cis(6.2 * (0.618 * x * x).fract()) * (1.0 + (0.414 * x * x * x).fract())
+            })
+            .collect();
+        let norm = mdq_num::norm(&amps);
+        let amps: Vec<Complex> = amps.into_iter().map(|a| a / norm).collect();
+        let mut c = Circuit::new(d.clone());
+        for k in 0..300 {
+            let (lo, hi) = [(0, 1), (0, 2), (1, 2)][k % 3];
+            c.push(Instruction::controlled(
+                2 + k % 4,
+                Gate::givens(lo, hi, 0.3 + 0.1 * (k % 7) as f64, 0.4 * (k % 5) as f64),
+                vec![Control::new(0, (k / 3) % 3)],
+            ))
+            .unwrap();
+        }
+        // What the replay interns with nothing ever collected.
+        let mut interned = StateDd::from_amplitudes(&d, &amps, BuildOptions::default()).unwrap();
+        for instr in c.iter() {
+            interned.apply_mut(instr).unwrap();
+        }
+        let total = interned.node_count();
+        let live = interned.live_node_count();
+        for limit in [1_200, 4_096] {
+            assert!(
+                total > limit && limit > 3 * live,
+                "{total} interned, {live} live"
+            );
+            let limited =
+                StateDd::from_amplitudes(&d, &amps, BuildOptions::default().node_limit(limit))
+                    .unwrap();
+            let mut cache = ComputeCache::new();
+            let out = limited.apply_circuit_consuming(&c, &mut cache).unwrap();
+            assert!(out.node_count() <= limit);
+            assert!((out.fidelity(&interned) - 1.0).abs() < 1e-9);
+        }
     }
 
     #[test]

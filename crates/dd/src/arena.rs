@@ -62,7 +62,8 @@ impl std::error::Error for ArenaOverflow {}
 /// [`StateDd`](crate::StateDd) owns one arena holding exactly the nodes of
 /// its diagram; transformation pipelines (notably
 /// [`StateDd::apply_circuit`](crate::StateDd::apply_circuit)) thread a
-/// single arena through many operations and compact once at the end.
+/// single arena through many operations, leave superseded nodes in place,
+/// and rebuild it only as that method's docs describe.
 #[derive(Debug, Clone)]
 pub struct DdArena {
     tolerance: Tolerance,
@@ -348,8 +349,9 @@ impl ComputeCache {
     /// Clears only the per-instruction transform memo, keeping the
     /// weighted-sum memo. Sound *within* one circuit application on one
     /// (append-only) arena: sums are matrix-independent, so their entries
-    /// stay valid across instructions — until a compaction rebuilds the
-    /// arena, at which point the caller must [`ComputeCache::begin_op`].
+    /// stay valid across instructions — until a rebuild replaces the arena
+    /// (see [`StateDd::apply_circuit`](crate::StateDd::apply_circuit)), at
+    /// which point the caller must [`ComputeCache::begin_op`].
     pub fn begin_instruction(&mut self) {
         self.rec.clear();
     }

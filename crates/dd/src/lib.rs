@@ -324,7 +324,7 @@ mod proptests {
         proptest::collection::vec(2usize..5, 1..4).prop_map(|v| Dims::new(v).unwrap())
     }
 
-    fn arb_state(dims: &Dims) -> impl Strategy<Value = Vec<Complex>> {
+    pub(crate) fn arb_state(dims: &Dims) -> impl Strategy<Value = Vec<Complex>> {
         let n = dims.space_size();
         proptest::collection::vec((-1.0..1.0f64, -1.0..1.0f64), n..=n).prop_filter_map(
             "state must have nonzero norm",
