@@ -727,6 +727,168 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Two records built from literal values: raw-bit support entries
+    /// (−0.0, a NaN payload, a subnormal, ±inf), a hand-written circuit
+    /// with multi-digit qudits and levels and the angles −0.0, 5e-324,
+    /// 1e300 and π, an empty circuit, and fixed durations.
+    fn golden_entries() -> Vec<(u64, CanonicalKey, Arc<CachedPreparation>)> {
+        use mdq_circuit::{Circuit, Control, Gate, Instruction};
+        let register = Dims::new(vec![3, 12]).unwrap();
+        let mut circuit = Circuit::new(register);
+        for instruction in [
+            Instruction::local(
+                1,
+                Gate::Givens {
+                    lo: 10,
+                    hi: 11,
+                    theta: std::f64::consts::PI,
+                    phi: -0.0,
+                },
+            ),
+            Instruction::controlled(
+                0,
+                Gate::ZRotation {
+                    lo: 1,
+                    hi: 2,
+                    theta: 5e-324,
+                },
+                vec![Control::new(1, 11)],
+            ),
+            Instruction::controlled(
+                1,
+                Gate::PhaseLevel {
+                    level: 10,
+                    angle: 1e300,
+                },
+                vec![Control::new(0, 2)],
+            ),
+            Instruction::local(1, Gate::shift(-11)),
+            Instruction::local(0, Gate::fourier_inverse()),
+        ] {
+            circuit.push(instruction).unwrap();
+        }
+        let report = |ops: usize, nanos: u32| SynthesisReport {
+            nodes_initial: 40 + ops,
+            nodes_final: 12,
+            distinct_c_initial: 7,
+            distinct_c_final: 5,
+            operations: ops,
+            controls_median: 0.5,
+            controls_mean: -0.0,
+            controls_max: 1,
+            removed_nodes: 0,
+            pruned_mass: f64::from_bits(1),
+            fidelity_bound: 1.0,
+            time: Duration::new(0, nanos),
+            total_time: Duration::new(1, nanos),
+        };
+        let first = (
+            CanonicalKey {
+                dims: vec![3, 12],
+                support: vec![
+                    (0, (-0.0f64).to_bits(), 0x7ff8_0000_dead_beef),
+                    (35, 1, f64::INFINITY.to_bits()),
+                ],
+                options: OptionsKey {
+                    fidelity_threshold: Some(0.98f64.to_bits()),
+                    tolerance: 1e-9f64.to_bits(),
+                    product_rule: 2,
+                    skip_identities: true,
+                    direction: 1,
+                    reduce: true,
+                    keep_zero_subtrees: false,
+                },
+            },
+            CachedPreparation {
+                circuit,
+                report: report(5, 123_456),
+                verification: Some(VerificationReport {
+                    fidelity: 1.0 - f64::EPSILON,
+                    replay_nodes: 14,
+                    duration: Duration::new(0, 999_999_999),
+                }),
+            },
+        );
+        let second = (
+            CanonicalKey {
+                dims: vec![2],
+                support: vec![(1, f64::NEG_INFINITY.to_bits(), 0)],
+                options: OptionsKey {
+                    fidelity_threshold: None,
+                    tolerance: 0,
+                    product_rule: 0,
+                    skip_identities: false,
+                    direction: 0,
+                    reduce: false,
+                    keep_zero_subtrees: true,
+                },
+            },
+            CachedPreparation {
+                circuit: Circuit::new(Dims::new(vec![2]).unwrap()),
+                report: report(0, 7),
+                verification: None,
+            },
+        );
+        [first, second]
+            .into_iter()
+            .map(|(key, value)| (fingerprint_of(&key), key, Arc::new(value)))
+            .collect()
+    }
+
+    #[test]
+    fn two_record_snapshot_matches_its_golden_bytes() {
+        const GOLDEN: &str = include_str!("../../../tests/golden/snapshot_two_records.txt");
+        let entries = golden_entries();
+        let (text, count) = snapshot_text(&entries);
+        assert_eq!(count, 2);
+        assert_eq!(text, GOLDEN);
+
+        let (parsed, skipped) = parse_snapshot(GOLDEN).unwrap();
+        assert_eq!(skipped, 0);
+        assert_eq!(parsed.len(), 2);
+        // Records load in file order, which sorts by record text.
+        for (fingerprint, key, value) in &parsed {
+            let (want_fp, want_key, want) = entries
+                .iter()
+                .find(|(_, k, _)| k == key)
+                .expect("every golden key comes back bit for bit");
+            assert_eq!(fingerprint, want_fp);
+            assert_eq!(key, want_key);
+            assert_eq!(value.circuit.len(), want.circuit.len());
+            for (a, b) in value.circuit.iter().zip(want.circuit.iter()) {
+                assert_eq!((a.qudit, &a.controls), (b.qudit, &b.controls));
+                assert_eq!(format!("{:?}", a.gate), format!("{:?}", b.gate));
+                let angles = |g: &mdq_circuit::Gate| match *g {
+                    mdq_circuit::Gate::Givens { theta, phi, .. } => {
+                        [theta.to_bits(), phi.to_bits()]
+                    }
+                    mdq_circuit::Gate::ZRotation { theta, .. } => [theta.to_bits(), 0],
+                    mdq_circuit::Gate::PhaseLevel { angle, .. } => [angle.to_bits(), 0],
+                    _ => [0, 0],
+                };
+                assert_eq!(angles(&a.gate), angles(&b.gate));
+            }
+            let (r, w) = (&value.report, &want.report);
+            assert_eq!(format!("{r:?}"), format!("{w:?}"));
+            for (x, y) in [
+                (r.controls_median, w.controls_median),
+                (r.controls_mean, w.controls_mean),
+                (r.pruned_mass, w.pruned_mass),
+                (r.fidelity_bound, w.fidelity_bound),
+            ] {
+                assert_eq!(x.to_bits(), y.to_bits());
+            }
+            match (&value.verification, &want.verification) {
+                (None, None) => {}
+                (Some(a), Some(b)) => {
+                    assert_eq!(a.fidelity.to_bits(), b.fidelity.to_bits());
+                    assert_eq!((a.replay_nodes, a.duration), (b.replay_nodes, b.duration));
+                }
+                (a, b) => panic!("verification differs: {a:?} vs {b:?}"),
+            }
+        }
+    }
+
     #[test]
     fn empty_cache_snapshots_and_reloads() {
         let path = temp_path("empty");
