@@ -403,6 +403,31 @@ mod tests {
         );
     }
 
+    /// A decoded rotation may carry `lo > hi`: the larger level is the one
+    /// checked, so `Gate::matrix` never sees an out-of-range `lo`.
+    #[test]
+    fn push_validates_the_low_level_of_reversed_rotations() {
+        let mut c = Circuit::new(dims(&[3]));
+        for gate in [
+            Gate::Givens {
+                lo: 5,
+                hi: 1,
+                theta: 1.0,
+                phi: 0.0,
+            },
+            Gate::ZRotation {
+                lo: 5,
+                hi: 1,
+                theta: 1.0,
+            },
+        ] {
+            assert_eq!(
+                c.push(Instruction::local(0, gate)).unwrap_err(),
+                CircuitError::LevelOutOfRange { level: 5, dim: 3 }
+            );
+        }
+    }
+
     #[test]
     fn push_validates_unitary_dimension() {
         let mut c = Circuit::new(dims(&[3]));

@@ -131,11 +131,13 @@ impl Gate {
     }
 
     /// The highest level index the gate touches, used for validation against
-    /// the target dimension (`None` when every level is acceptable).
+    /// the target dimension (`None` when every level is acceptable). For a
+    /// rotation this is the larger of its two levels: a decoded gate need
+    /// not keep `lo < hi`.
     #[must_use]
     pub fn max_level(&self) -> Option<usize> {
         match self {
-            Gate::Givens { hi, .. } | Gate::ZRotation { hi, .. } => Some(*hi),
+            Gate::Givens { lo, hi, .. } | Gate::ZRotation { lo, hi, .. } => Some(*lo.max(hi)),
             Gate::PhaseLevel { level, .. } => Some(*level),
             Gate::Shift { .. } | Gate::Fourier { .. } => None,
             Gate::Unitary(m) => Some(m.dim().saturating_sub(1)),

@@ -16,8 +16,15 @@
 //!
 //! Explicit `Unitary` gates are not serializable (they have no compact
 //! textual form) and produce [`SerializeError::UnsupportedGate`].
+//!
+//! This module also holds the one [`Writer`] and the one [`Cursor`] that
+//! every text codec of the workspace shares: the circuit forms here, and
+//! the engine's `mdqwire` frames and `mdqsnap` snapshot records. Encoders
+//! append to one buffer sized up front; decoders walk the bytes once and
+//! push every decoded instruction through [`Circuit::push`].
 
 use std::fmt;
+use std::time::Duration;
 
 use mdq_num::radix::Dims;
 
@@ -110,54 +117,13 @@ impl std::error::Error for ParseError {}
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn to_text(circuit: &Circuit) -> Result<String, SerializeError> {
-    use std::fmt::Write as _;
-    let mut out = String::from("mdqc 1\n");
-    out.push_str("dims");
-    for d in circuit.dims().as_slice() {
-        let _ = write!(out, " {d}");
+    let dims = circuit.dims().as_slice();
+    let mut w = Writer::with_capacity(16 + 21 * dims.len() + line_capacity(circuit));
+    w.str("mdqc 1\ndims").usizes(dims).str("\n");
+    for (index, instruction) in circuit.iter().enumerate() {
+        w.instruction(instruction, index)?.str("\n");
     }
-    out.push('\n');
-    for (index, instr) in circuit.iter().enumerate() {
-        out.push_str(&instruction_text(instr, index)?);
-        out.push('\n');
-    }
-    Ok(out)
-}
-
-/// The textual form of one instruction (gate body plus control tail), shared
-/// by [`to_text`] and [`to_line`].
-///
-/// Angles are written through Rust's shortest-round-trip float formatting,
-/// which is guaranteed to parse back to the **bit-identical** `f64` for every
-/// finite value (including `-0.0` and subnormals) — the property the engine's
-/// snapshot format depends on, pinned by the serialize round-trip proptests.
-fn instruction_text(instr: &Instruction, index: usize) -> Result<String, SerializeError> {
-    use std::fmt::Write as _;
-    let mut out = match &instr.gate {
-        Gate::Givens { lo, hi, theta, phi } => {
-            format!(
-                "givens q{} lo{lo} hi{hi} theta{theta} phi{phi}",
-                instr.qudit
-            )
-        }
-        Gate::ZRotation { lo, hi, theta } => {
-            format!("zrot q{} lo{lo} hi{hi} theta{theta}", instr.qudit)
-        }
-        Gate::PhaseLevel { level, angle } => {
-            format!("phase q{} level{level} angle{angle}", instr.qudit)
-        }
-        Gate::Shift { amount } => format!("shift q{} amount{amount}", instr.qudit),
-        Gate::Fourier { inverse: false } => format!("fourier q{}", instr.qudit),
-        Gate::Fourier { inverse: true } => format!("fourier- q{}", instr.qudit),
-        Gate::Unitary(_) => return Err(SerializeError::UnsupportedGate { index }),
-    };
-    if !instr.controls.is_empty() {
-        out.push_str(" ctrl");
-        for c in &instr.controls {
-            let _ = write!(out, " {}@{}", c.qudit, c.level);
-        }
-    }
-    Ok(out)
+    Ok(w.into_string())
 }
 
 /// Serializes a circuit **body** to a single line: the instructions of
@@ -186,14 +152,9 @@ fn instruction_text(instr: &Instruction, index: usize) -> Result<String, Seriali
 /// # Ok::<(), Box<dyn std::error::Error>>(())
 /// ```
 pub fn to_line(circuit: &Circuit) -> Result<String, SerializeError> {
-    let mut out = String::new();
-    for (index, instr) in circuit.iter().enumerate() {
-        if index > 0 {
-            out.push_str(" ; ");
-        }
-        out.push_str(&instruction_text(instr, index)?);
-    }
-    Ok(out)
+    let mut w = Writer::with_capacity(line_capacity(circuit));
+    w.circuit_line(circuit)?;
+    Ok(w.into_string())
 }
 
 /// Parses a single-line circuit body produced by [`to_line`] against the
@@ -204,25 +165,24 @@ pub fn to_line(circuit: &Circuit) -> Result<String, SerializeError> {
 /// Returns [`ParseError::BadLine`]/[`ParseError::Invalid`] with `line` set
 /// to the **1-based instruction position** within the line.
 pub fn from_line(dims: Dims, text: &str) -> Result<Circuit, ParseError> {
-    let mut circuit = Circuit::new(dims);
     if text.trim().is_empty() {
-        return Ok(circuit);
+        return Ok(Circuit::new(dims));
     }
-    for (index, segment) in text.split(';').enumerate() {
-        let position = index + 1;
-        let instr = parse_instruction(segment.trim()).map_err(|reason| ParseError::BadLine {
-            line: position,
-            reason,
-        })?;
-        circuit.push(instr).map_err(|e| ParseError::Invalid {
-            line: position,
-            reason: e.to_string(),
-        })?;
+    let mut cursor = Cursor::new(text);
+    let circuit = cursor.circuit_line(dims)?;
+    if !cursor.is_at_end() {
+        return Err(ParseError::BadLine {
+            line: circuit.len().max(1),
+            reason: "expected ` ; ` or the end of the line".to_owned(),
+        });
     }
     Ok(circuit)
 }
 
-/// Parses a circuit from the `mdqc` text format.
+/// Parses a circuit from the `mdqc` text format. Lines are trimmed, and
+/// blank lines and `#` comments are skipped; every other line is read with
+/// the [`Cursor`], so fields are single-space separated in their written
+/// order.
 ///
 /// # Errors
 ///
@@ -240,21 +200,34 @@ pub fn from_text(text: &str) -> Result<Circuit, ParseError> {
         return Err(ParseError::BadHeader);
     }
     let (_, dims_line) = lines.next().ok_or(ParseError::BadDims)?;
-    let dims_tokens: Vec<&str> = dims_line.split_whitespace().collect();
-    if dims_tokens.first() != Some(&"dims") || dims_tokens.len() < 2 {
-        return Err(ParseError::BadDims);
-    }
-    let dims: Vec<usize> = dims_tokens[1..]
-        .iter()
-        .map(|t| t.parse().map_err(|_| ParseError::BadDims))
-        .collect::<Result<_, _>>()?;
-    let dims = Dims::new(dims).map_err(|_| ParseError::BadDims)?;
+    let mut cursor = Cursor::new(dims_line);
+    let dims = cursor
+        .line("dims")
+        .and_then(|c| c.uints("dimension"))
+        .ok()
+        .filter(|_| cursor.is_at_end())
+        .and_then(|dims| Dims::new(dims).ok())
+        .ok_or(ParseError::BadDims)?;
 
     let mut circuit = Circuit::new(dims);
+    let mut controls = 0;
     for (line, content) in lines {
-        let instr =
-            parse_instruction(content).map_err(|reason| ParseError::BadLine { line, reason })?;
-        circuit.push(instr).map_err(|e| ParseError::Invalid {
+        let mut cursor = Cursor::new(content);
+        let instruction = cursor
+            .instruction(controls)
+            .and_then(|instruction| {
+                if cursor.is_at_end() {
+                    Ok(instruction)
+                } else {
+                    Err(cursor.corrupt("expected the end of the line"))
+                }
+            })
+            .map_err(|e| ParseError::BadLine {
+                line,
+                reason: e.into_message(),
+            })?;
+        controls = instruction.controls.len();
+        circuit.push(instruction).map_err(|e| ParseError::Invalid {
             line,
             reason: e.to_string(),
         })?;
@@ -267,6 +240,7 @@ pub fn from_text(text: &str) -> Result<Circuit, ParseError> {
 /// wire (`mdqwire`) formats for values that must round-trip **bit-exactly**
 /// where shortest-float formatting cannot (amplitudes, fidelities,
 /// tolerances: `-0.0`, subnormals, non-finite values, NaN payloads).
+/// [`Writer::hex`] writes the same digits in place.
 ///
 /// # Examples
 ///
@@ -280,7 +254,9 @@ pub fn from_text(text: &str) -> Result<Circuit, ParseError> {
 /// ```
 #[must_use]
 pub fn bits_to_hex(bits: u64) -> String {
-    format!("{bits:016x}")
+    let mut w = Writer::with_capacity(16);
+    w.hex(bits);
+    w.into_string()
 }
 
 /// Parses the 16-hex-digit raw bit pattern written by [`bits_to_hex`].
@@ -290,82 +266,630 @@ pub fn bits_to_hex(bits: u64) -> String {
 /// pattern.
 #[must_use]
 pub fn bits_from_hex(text: &str) -> Option<u64> {
-    // `from_str_radix` tolerates a leading sign; a bit pattern must be
-    // exactly 16 hex digits and nothing else.
-    if text.len() != 16 || !text.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    u64::from_str_radix(text, 16).ok()
+    let mut cursor = Cursor::new(text);
+    cursor.hex("bits").ok().filter(|_| cursor.is_at_end())
 }
 
-fn parse_instruction(line: &str) -> Result<Instruction, String> {
-    let mut tokens = line.split_whitespace();
-    let kind = tokens.next().ok_or("empty line")?;
-    let mut rest: Vec<&str> = tokens.collect();
+/// A size estimate of `circuit`'s [`to_line`] form, so that an encoder can
+/// size its buffer once: a rotation with two shortest-round-trip angles
+/// takes about 70 bytes and each control about 6.
+#[must_use]
+pub fn line_capacity(circuit: &Circuit) -> usize {
+    circuit
+        .iter()
+        .map(|instruction| 80 + 6 * instruction.controls.len())
+        .sum()
+}
 
-    // Split off the control tail.
-    let mut controls = Vec::new();
-    if let Some(pos) = rest.iter().position(|&t| t == "ctrl") {
-        for spec in rest.split_off(pos).into_iter().skip(1) {
-            let (q, l) = spec
-                .split_once('@')
-                .ok_or_else(|| format!("bad control '{spec}', expected q@level"))?;
-            controls.push(Control::new(
-                q.parse().map_err(|_| format!("bad control qudit '{q}'"))?,
-                l.parse().map_err(|_| format!("bad control level '{l}'"))?,
-            ));
+/// The one text writer behind every codec of the workspace: the `mdqc`
+/// circuit forms here, and the engine's `mdqwire` frames and `mdqsnap`
+/// snapshot records. Everything is appended to one `String`.
+///
+/// Integers and 16-digit raw-bit hex are written digit by digit; no value
+/// gets a `String` of its own. Angles go through Rust's shortest
+/// round-trip float formatting ([`Writer::f64`]), which parses back to the
+/// **bit-identical** `f64` for every finite value (including `-0.0` and
+/// subnormals).
+///
+/// # Examples
+///
+/// ```
+/// use mdq_circuit::serialize::Writer;
+///
+/// let mut w = Writer::default();
+/// w.str("x=").usize(42).str(" h=").hex(255).str(" a=").f64(-0.5);
+/// assert_eq!(w.as_str(), "x=42 h=00000000000000ff a=-0.5");
+/// ```
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+}
+
+impl Writer {
+    /// An empty writer whose buffer holds `bytes` before it grows.
+    #[must_use]
+    pub fn with_capacity(bytes: usize) -> Self {
+        Writer {
+            out: String::with_capacity(bytes),
         }
     }
 
-    let field = |prefix: &str| -> Result<&str, String> {
-        rest.iter()
-            .find_map(|t| t.strip_prefix(prefix))
-            .ok_or_else(|| format!("missing field '{prefix}'"))
-    };
-    let usize_field = |prefix: &str| -> Result<usize, String> {
-        field(prefix)?
-            .parse()
-            .map_err(|_| format!("bad integer for '{prefix}'"))
-    };
-    let f64_field = |prefix: &str| -> Result<f64, String> {
-        field(prefix)?
-            .parse()
-            .map_err(|_| format!("bad number for '{prefix}'"))
-    };
+    /// Appends `text` as is.
+    pub fn str(&mut self, text: &str) -> &mut Self {
+        self.out.push_str(text);
+        self
+    }
 
-    let qudit = usize_field("q")?;
-    let gate = match kind {
-        "givens" => Gate::Givens {
-            lo: usize_field("lo")?,
-            hi: usize_field("hi")?,
-            theta: f64_field("theta")?,
-            phi: f64_field("phi")?,
-        },
-        "zrot" => Gate::ZRotation {
-            lo: usize_field("lo")?,
-            hi: usize_field("hi")?,
-            theta: f64_field("theta")?,
-        },
-        "phase" => Gate::PhaseLevel {
-            level: usize_field("level")?,
-            angle: f64_field("angle")?,
-        },
-        "shift" => Gate::Shift {
-            amount: field("amount")?
-                .parse()
-                .map_err(|_| "bad integer for 'amount'".to_owned())?,
-        },
-        "fourier" => Gate::Fourier { inverse: false },
-        "fourier-" => Gate::Fourier { inverse: true },
-        other => return Err(format!("unknown gate '{other}'")),
-    };
-    Ok(Instruction::controlled(qudit, gate, controls))
+    fn ascii(&mut self, bytes: &[u8]) -> &mut Self {
+        self.out.extend(bytes.iter().map(|&b| char::from(b)));
+        self
+    }
+
+    /// Appends `value` in decimal.
+    pub fn u64(&mut self, mut value: u64) -> &mut Self {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            // `value % 10` is a single decimal digit.
+            digits[at] = b'0' + (value % 10) as u8;
+            value /= 10;
+            if value == 0 {
+                break;
+            }
+        }
+        self.ascii(&digits[at..])
+    }
+
+    /// Appends `value` in decimal.
+    pub fn usize(&mut self, value: usize) -> &mut Self {
+        // Lossless: `usize` is at most 64 bits wide on every target.
+        self.u64(value as u64)
+    }
+
+    /// Appends `value` in decimal, with a `-` when negative.
+    pub fn i64(&mut self, value: i64) -> &mut Self {
+        if value < 0 {
+            self.out.push('-');
+        }
+        self.u64(value.unsigned_abs())
+    }
+
+    /// Appends ` v` for every value: the tail of a `dims` line.
+    pub fn usizes(&mut self, values: &[usize]) -> &mut Self {
+        for &value in values {
+            self.str(" ").usize(value);
+        }
+        self
+    }
+
+    /// Appends `bits` as exactly 16 lowercase hex digits.
+    pub fn hex(&mut self, bits: u64) -> &mut Self {
+        const DIGITS: &[u8; 16] = b"0123456789abcdef";
+        let mut text = [0u8; 16];
+        for (i, digit) in text.iter_mut().enumerate() {
+            *digit = DIGITS[((bits >> (60 - 4 * i)) & 0xf) as usize];
+        }
+        self.ascii(&text)
+    }
+
+    /// Appends `value` in Rust's shortest round-trip form (`Display`).
+    pub fn f64(&mut self, value: f64) -> &mut Self {
+        use std::fmt::Write as _;
+        // Writing into a `String` cannot fail.
+        let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// Appends `d` as `secs:nanos`.
+    pub fn duration(&mut self, d: Duration) -> &mut Self {
+        self.u64(d.as_secs())
+            .str(":")
+            .u64(u64::from(d.subsec_nanos()))
+    }
+
+    /// Appends one instruction in the `mdqc` form (gate body, then the
+    /// control tail), with no line break. `index` names the instruction in
+    /// the error.
+    ///
+    /// # Errors
+    ///
+    /// [`SerializeError::UnsupportedGate`] for an explicit unitary; the
+    /// buffer may then hold part of the instruction.
+    pub fn instruction(
+        &mut self,
+        instruction: &Instruction,
+        index: usize,
+    ) -> Result<&mut Self, SerializeError> {
+        let q = instruction.qudit;
+        match instruction.gate {
+            Gate::Givens { lo, hi, theta, phi } => {
+                self.str("givens q").usize(q).str(" lo").usize(lo);
+                self.str(" hi").usize(hi).str(" theta").f64(theta);
+                self.str(" phi").f64(phi)
+            }
+            Gate::ZRotation { lo, hi, theta } => {
+                self.str("zrot q").usize(q).str(" lo").usize(lo);
+                self.str(" hi").usize(hi).str(" theta").f64(theta)
+            }
+            Gate::PhaseLevel { level, angle } => {
+                self.str("phase q").usize(q).str(" level").usize(level);
+                self.str(" angle").f64(angle)
+            }
+            Gate::Shift { amount } => self.str("shift q").usize(q).str(" amount").i64(amount),
+            Gate::Fourier { inverse: false } => self.str("fourier q").usize(q),
+            Gate::Fourier { inverse: true } => self.str("fourier- q").usize(q),
+            Gate::Unitary(_) => return Err(SerializeError::UnsupportedGate { index }),
+        };
+        if !instruction.controls.is_empty() {
+            self.str(" ctrl");
+            for c in &instruction.controls {
+                self.str(" ").usize(c.qudit).str("@").usize(c.level);
+            }
+        }
+        Ok(self)
+    }
+
+    /// Appends the [`to_line`] form of `circuit`: its instructions joined
+    /// by `" ; "`.
+    ///
+    /// # Errors
+    ///
+    /// [`SerializeError::UnsupportedGate`] for an explicit unitary.
+    pub fn circuit_line(&mut self, circuit: &Circuit) -> Result<&mut Self, SerializeError> {
+        for (index, instruction) in circuit.iter().enumerate() {
+            if index > 0 {
+                self.str(" ; ");
+            }
+            self.instruction(instruction, index)?;
+        }
+        Ok(self)
+    }
+
+    /// The text written so far.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        &self.out
+    }
+
+    /// Bytes written so far.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.out.len()
+    }
+
+    /// Whether nothing has been written.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.out.is_empty()
+    }
+
+    /// Drops everything after the first `len` bytes, e.g. a record whose
+    /// circuit turned out unserializable. `len` must come from
+    /// [`Writer::len`].
+    pub fn truncate(&mut self, len: usize) {
+        self.out.truncate(len);
+    }
+
+    /// Drops everything written, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.out.clear();
+    }
+
+    /// The written text.
+    #[must_use]
+    pub fn into_string(self) -> String {
+        self.out
+    }
+}
+
+/// Why a [`Cursor`] refused its input.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TextError {
+    /// The text ended where another line was due.
+    Truncated,
+    /// A line does not parse.
+    Corrupt {
+        /// 1-based number of the offending line.
+        line: usize,
+        /// What was wrong with it.
+        message: String,
+    },
+}
+
+impl TextError {
+    fn into_message(self) -> String {
+        match self {
+            TextError::Truncated => "truncated".to_owned(),
+            TextError::Corrupt { message, .. } => message,
+        }
+    }
+}
+
+impl fmt::Display for TextError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TextError::Truncated => write!(f, "text is truncated"),
+            TextError::Corrupt { line, message } => write!(f, "line {line}: {message}"),
+        }
+    }
+}
+
+impl std::error::Error for TextError {}
+
+/// The one byte cursor behind every decoder of the workspace: the `mdqc`
+/// circuit forms here, and the engine's `mdqwire` frames and `mdqsnap`
+/// snapshot records. It walks the text once, left to right, and reads
+/// exactly what the [`Writer`] writes: fields single-space separated in
+/// their written order, integers as plain decimal digits (no sign, no
+/// leading zero), raw bits as 16 hex digits of either case.
+///
+/// Integers are read with checked arithmetic, so an overlong number is a
+/// typed error in every build profile. Error line numbers are counted
+/// only when an error is built.
+///
+/// # Examples
+///
+/// ```
+/// use mdq_circuit::serialize::{Cursor, TextError};
+///
+/// let mut c = Cursor::new("pair 7:00000000000000FF\n");
+/// let n: usize = c.line("pair")?.expect(" ")?.uint("count")?;
+/// assert_eq!((n, c.expect(":")?.hex("bits")?), (7, 255));
+/// c.end_line()?;
+/// assert!(c.is_at_end());
+/// # Ok::<(), TextError>(())
+/// ```
+#[derive(Debug, Clone)]
+pub struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Cursor { text, pos: 0 }
+    }
+
+    /// Byte offset of the next unread byte.
+    #[must_use]
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// Whether every byte has been read.
+    #[must_use]
+    pub fn is_at_end(&self) -> bool {
+        self.pos == self.text.len()
+    }
+
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.pos..]
+    }
+
+    /// Whether the unread text starts with `prefix`.
+    #[must_use]
+    pub fn starts_with(&self, prefix: &str) -> bool {
+        self.rest().starts_with(prefix.as_bytes())
+    }
+
+    /// Consumes `literal` if the unread text starts with it.
+    pub fn eat(&mut self, literal: &str) -> bool {
+        let found = self.starts_with(literal);
+        if found {
+            self.pos += literal.len();
+        }
+        found
+    }
+
+    /// Consumes `literal`, or fails.
+    ///
+    /// # Errors
+    ///
+    /// [`TextError::Corrupt`] when the unread text does not start with it.
+    pub fn expect(&mut self, literal: &str) -> Result<&mut Self, TextError> {
+        if self.eat(literal) {
+            Ok(self)
+        } else {
+            Err(self.corrupt(format!("expected `{literal}`")))
+        }
+    }
+
+    /// A [`TextError::Corrupt`] on the current line.
+    #[must_use]
+    pub fn corrupt(&self, message: impl Into<String>) -> TextError {
+        let line = self.text.as_bytes()[..self.pos]
+            .iter()
+            .filter(|&&b| b == b'\n')
+            .count();
+        TextError::Corrupt {
+            line: line + 1,
+            message: message.into(),
+        }
+    }
+
+    /// Opens the next line, which must start with `tag` followed by a
+    /// space or the line's end; consumes the tag.
+    ///
+    /// # Errors
+    ///
+    /// [`TextError::Truncated`] at the end of the text,
+    /// [`TextError::Corrupt`] when the line carries another tag.
+    pub fn line(&mut self, tag: &str) -> Result<&mut Self, TextError> {
+        if self.is_at_end() {
+            return Err(TextError::Truncated);
+        }
+        let after = self.rest().get(tag.len()).copied();
+        if self.starts_with(tag) && matches!(after, None | Some(b' ' | b'\n')) {
+            self.pos += tag.len();
+            Ok(self)
+        } else {
+            Err(self.corrupt(format!("expected `{tag}` line")))
+        }
+    }
+
+    /// Closes the current line: consumes its `\n`. The end of the text
+    /// also ends a line.
+    ///
+    /// # Errors
+    ///
+    /// [`TextError::Corrupt`] when anything else is left on the line.
+    pub fn end_line(&mut self) -> Result<(), TextError> {
+        if self.eat("\n") || self.is_at_end() {
+            Ok(())
+        } else {
+            Err(self.corrupt("unexpected content at the end of the line"))
+        }
+    }
+
+    /// Consumes and returns the bytes up to the next space, `;`, line
+    /// break or the end of the text: a keyword or an angle.
+    pub fn word(&mut self) -> &'a str {
+        let len = self
+            .rest()
+            .iter()
+            .position(|b| matches!(b, b' ' | b';' | b'\n'))
+            .unwrap_or(self.rest().len());
+        self.take(len)
+    }
+
+    /// Consumes and returns the rest of the current line, without its
+    /// `\n`.
+    pub fn rest_of_line(&mut self) -> &'a str {
+        let len = self
+            .rest()
+            .iter()
+            .position(|&b| b == b'\n')
+            .unwrap_or(self.rest().len());
+        self.take(len)
+    }
+
+    fn take(&mut self, len: usize) -> &'a str {
+        // Every boundary sits next to an ASCII byte, or at the end of the
+        // text, so it is a char boundary.
+        let taken = &self.text[self.pos..self.pos + len];
+        self.pos += len;
+        taken
+    }
+
+    /// Reads a canonical unsigned decimal: one or more digits, no sign,
+    /// no leading zero, within `T`.
+    ///
+    /// # Errors
+    ///
+    /// [`TextError::Corrupt`] naming `what` otherwise.
+    pub fn uint<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, TextError> {
+        let start = self.pos;
+        let mut value: u64 = 0;
+        while let Some(&b) = self.rest().first() {
+            if !b.is_ascii_digit() {
+                break;
+            }
+            let next = value
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(b - b'0')));
+            match next {
+                Some(v) => value = v,
+                None => return Err(self.corrupt(format!("bad {what}: out of range"))),
+            }
+            self.pos += 1;
+        }
+        let digits = self.pos - start;
+        if digits == 0 || (digits > 1 && self.text.as_bytes()[start] == b'0') {
+            return Err(self.corrupt(format!("bad {what}")));
+        }
+        T::try_from(value).map_err(|_| self.corrupt(format!("bad {what}: out of range")))
+    }
+
+    fn int(&mut self, what: &str) -> Result<i64, TextError> {
+        if self.eat("-") {
+            let magnitude: u64 = self.uint(what)?;
+            0i64.checked_sub_unsigned(magnitude)
+                .ok_or_else(|| self.corrupt(format!("bad {what}: out of range")))
+        } else {
+            self.uint(what)
+        }
+    }
+
+    /// Reads ` v` repeatedly: the tail of a `dims` line.
+    ///
+    /// # Errors
+    ///
+    /// [`TextError::Corrupt`] for a value that is not a canonical `usize`.
+    pub fn uints(&mut self, what: &str) -> Result<Vec<usize>, TextError> {
+        let mut values = Vec::new();
+        while self.eat(" ") {
+            values.push(self.uint(what)?);
+        }
+        Ok(values)
+    }
+
+    /// Reads exactly 16 hex digits of either case as raw bits.
+    ///
+    /// # Errors
+    ///
+    /// [`TextError::Corrupt`] naming `what` otherwise.
+    pub fn hex(&mut self, what: &str) -> Result<u64, TextError> {
+        let digits = self.rest().get(..16).unwrap_or_default();
+        let mut bits: u64 = 0;
+        for &b in digits {
+            let nibble = match b {
+                b'0'..=b'9' => b - b'0',
+                b'a'..=b'f' => b - b'a' + 10,
+                b'A'..=b'F' => b - b'A' + 10,
+                _ => return Err(self.corrupt(format!("bad {what}"))),
+            };
+            bits = (bits << 4) | u64::from(nibble);
+        }
+        if digits.len() < 16 {
+            return Err(self.corrupt(format!("bad {what}")));
+        }
+        self.pos += 16;
+        Ok(bits)
+    }
+
+    /// Reads one [`Cursor::word`] as an `f64`, in any spelling Rust's
+    /// float parser accepts.
+    ///
+    /// # Errors
+    ///
+    /// [`TextError::Corrupt`] naming `what` otherwise.
+    pub fn f64(&mut self, what: &str) -> Result<f64, TextError> {
+        let word = self.word();
+        word.parse()
+            .map_err(|_| self.corrupt(format!("bad {what}: `{word}`")))
+    }
+
+    /// Reads a `0`/`1` flag.
+    ///
+    /// # Errors
+    ///
+    /// [`TextError::Corrupt`] naming `what` for any other word.
+    pub fn flag(&mut self, what: &str) -> Result<bool, TextError> {
+        match self.word() {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            other => Err(self.corrupt(format!("bad {what}: `{other}`"))),
+        }
+    }
+
+    /// Reads a `secs:nanos` duration, nanoseconds below one second.
+    ///
+    /// # Errors
+    ///
+    /// [`TextError::Corrupt`] naming `what` otherwise.
+    pub fn duration(&mut self, what: &str) -> Result<Duration, TextError> {
+        let secs = self.uint(what)?;
+        self.expect(":")?;
+        let nanos: u32 = self.uint(what)?;
+        if nanos >= 1_000_000_000 {
+            return Err(self.corrupt(format!("bad {what}: {nanos} ns")));
+        }
+        Ok(Duration::new(secs, nanos))
+    }
+
+    /// Reads one instruction as [`Writer::instruction`] writes it.
+    /// `controls` sizes the control list; synthesized circuits come in DFS
+    /// order, so a neighbour's count is a close guess.
+    fn instruction(&mut self, controls: usize) -> Result<Instruction, TextError> {
+        let kind = self.word();
+        self.expect(" q")?;
+        let qudit = self.uint("qudit")?;
+        let gate = match kind {
+            "givens" => {
+                let (lo, hi, theta) = self.rotation()?;
+                self.expect(" phi")?;
+                let phi = self.f64("phi")?;
+                Gate::Givens { lo, hi, theta, phi }
+            }
+            "zrot" => {
+                let (lo, hi, theta) = self.rotation()?;
+                Gate::ZRotation { lo, hi, theta }
+            }
+            "phase" => {
+                self.expect(" level")?;
+                let level = self.uint("level")?;
+                self.expect(" angle")?;
+                let angle = self.f64("angle")?;
+                Gate::PhaseLevel { level, angle }
+            }
+            "shift" => {
+                self.expect(" amount")?;
+                Gate::Shift {
+                    amount: self.int("amount")?,
+                }
+            }
+            "fourier" => Gate::Fourier { inverse: false },
+            "fourier-" => Gate::Fourier { inverse: true },
+            other => return Err(self.corrupt(format!("unknown gate `{other}`"))),
+        };
+        let mut list = Vec::new();
+        if self.eat(" ctrl") {
+            list.reserve(controls.max(1));
+            loop {
+                self.expect(" ")?;
+                let qudit = self.uint("control qudit")?;
+                self.expect("@")?;
+                list.push(Control::new(qudit, self.uint("control level")?));
+                if !matches!(self.rest(), [b' ', b'0'..=b'9', ..]) {
+                    break;
+                }
+            }
+        }
+        Ok(Instruction::controlled(qudit, gate, list))
+    }
+
+    /// The ` lo… hi… theta…` fields shared by Givens and Z rotations.
+    fn rotation(&mut self) -> Result<(usize, usize, f64), TextError> {
+        self.expect(" lo")?;
+        let lo = self.uint("lo")?;
+        self.expect(" hi")?;
+        let hi = self.uint("hi")?;
+        self.expect(" theta")?;
+        Ok((lo, hi, self.f64("theta")?))
+    }
+
+    /// Reads a [`to_line`] circuit body up to the end of the current line
+    /// (not consumed), pushing every instruction through
+    /// [`Circuit::push`]. A line that ends at once is the empty circuit.
+    ///
+    /// # Errors
+    ///
+    /// [`ParseError::BadLine`]/[`ParseError::Invalid`] with the 1-based
+    /// instruction position.
+    pub fn circuit_line(&mut self, dims: Dims) -> Result<Circuit, ParseError> {
+        let mut circuit = Circuit::new(dims);
+        if matches!(self.rest(), [] | [b'\n', ..]) {
+            return Ok(circuit);
+        }
+        let mut controls = 0;
+        loop {
+            let line = circuit.len() + 1;
+            let instruction = self
+                .instruction(controls)
+                .map_err(|e| ParseError::BadLine {
+                    line,
+                    reason: e.into_message(),
+                })?;
+            controls = instruction.controls.len();
+            circuit.push(instruction).map_err(|e| ParseError::Invalid {
+                line,
+                reason: e.to_string(),
+            })?;
+            if !self.eat(" ; ") {
+                return Ok(circuit);
+            }
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mdq_num::matrix::CMatrix;
+    use proptest::prelude::*;
 
     fn sample() -> Circuit {
         let mut c = Circuit::new(Dims::new(vec![3, 6, 2]).unwrap());
@@ -545,6 +1069,320 @@ mod tests {
         for (a, b) in c.iter().zip(back.iter()) {
             let d = c.dims().dim(a.qudit);
             assert!(a.gate.matrix(d).approx_eq(&b.gate.matrix(d), 0.0));
+        }
+    }
+
+    #[test]
+    fn reversed_rotation_levels_are_invalid_not_a_panic() {
+        let dims = Dims::new(vec![3]).unwrap();
+        for line in ["givens q0 lo5 hi1 theta1 phi0", "zrot q0 lo5 hi1 theta1"] {
+            let err = from_line(dims.clone(), line).unwrap_err();
+            assert!(matches!(err, ParseError::Invalid { line: 1, .. }), "{err}");
+            let text = format!("mdqc 1\ndims 3\n{line}\n");
+            let err = from_text(&text).unwrap_err();
+            assert!(matches!(err, ParseError::Invalid { line: 3, .. }), "{err}");
+        }
+    }
+
+    /// Spellings the writer never produces, which the cursor refuses even
+    /// where the line-splitting parser it replaced tolerated them.
+    #[test]
+    fn non_canonical_spellings_are_refused() {
+        let dims = Dims::new(vec![3, 3]).unwrap();
+        for line in [
+            "shift q0  amount1",                   // a run of spaces
+            "shift q0 amount1 ",                   // a trailing space
+            "shift\tq0 amount1",                   // a tab
+            "givens q0 hi1 lo0 theta1 phi0",       // fields out of order
+            "shift q0 amount+1",                   // a plus sign
+            "shift q00 amount1",                   // a leading zero
+            "fourier q0 lo5",                      // an extra field
+            "fourier q0 ctrl",                     // an empty control list
+            "fourier q0 ctrl 1@1  2@0",            // a run of spaces in controls
+            "fourier q0 ; ; fourier q1",           // an empty instruction
+            "fourier q0;fourier q1",               // a bare separator
+            "fourier q0\nfourier q1",              // a line break
+            "shift q0 amount99999999999999999999", // overflow
+        ] {
+            assert!(
+                matches!(
+                    from_line(dims.clone(), line),
+                    Err(ParseError::BadLine { .. })
+                ),
+                "`{line}` must be refused"
+            );
+        }
+    }
+
+    #[test]
+    fn cursor_integers_are_canonical_and_checked() {
+        let read = |text: &str| {
+            let mut c = Cursor::new(text);
+            c.uint::<u64>("n").ok().filter(|_| c.is_at_end())
+        };
+        assert_eq!(read("0"), Some(0));
+        assert_eq!(read("18446744073709551615"), Some(u64::MAX));
+        for bad in [
+            "",
+            "00",
+            "01",
+            "+1",
+            "-1",
+            "18446744073709551616",
+            "99999999999999999999999",
+        ] {
+            assert_eq!(read(bad), None, "`{bad}`");
+        }
+        let mut c = Cursor::new("256");
+        assert!(c.uint::<u8>("n").is_err(), "out of the target type's range");
+        let mut c = Cursor::new("-9223372036854775808 -0 -9223372036854775809");
+        assert_eq!(c.int("n"), Ok(i64::MIN));
+        c.expect(" ").unwrap();
+        assert_eq!(c.int("n"), Ok(0));
+        c.expect(" ").unwrap();
+        assert!(c.int("n").is_err());
+    }
+
+    #[test]
+    fn cursor_errors_carry_line_numbers() {
+        let mut c = Cursor::new("a 1\nb x\n");
+        c.line("a").unwrap();
+        c.expect(" ").unwrap();
+        assert_eq!(c.uint::<usize>("n"), Ok(1));
+        c.end_line().unwrap();
+        c.line("b").unwrap();
+        c.expect(" ").unwrap();
+        assert!(matches!(
+            c.uint::<usize>("n"),
+            Err(TextError::Corrupt { line: 2, .. })
+        ));
+        let mut c = Cursor::new("a\n");
+        assert!(matches!(
+            c.line("b"),
+            Err(TextError::Corrupt { line: 1, .. })
+        ));
+        assert!(matches!(
+            c.line("ab"),
+            Err(TextError::Corrupt { line: 1, .. })
+        ));
+        c.line("a").unwrap();
+        c.end_line().unwrap();
+        assert!(matches!(c.line("a"), Err(TextError::Truncated)));
+    }
+
+    /// The instruction parser the cursor replaced, kept as the reference
+    /// for the differential tests below: whitespace-split tokens, fields
+    /// found by prefix in any order, extra tokens ignored.
+    fn reference_instruction(line: &str) -> Result<Instruction, String> {
+        let mut tokens = line.split_whitespace();
+        let kind = tokens.next().ok_or("empty line")?;
+        let mut rest: Vec<&str> = tokens.collect();
+        let mut controls = Vec::new();
+        if let Some(pos) = rest.iter().position(|&t| t == "ctrl") {
+            for spec in rest.split_off(pos).into_iter().skip(1) {
+                let (q, l) = spec.split_once('@').ok_or("bad control")?;
+                controls.push(Control::new(
+                    q.parse().map_err(|_| "bad control qudit")?,
+                    l.parse().map_err(|_| "bad control level")?,
+                ));
+            }
+        }
+        let field = |prefix: &str| -> Result<&str, String> {
+            rest.iter()
+                .find_map(|t| t.strip_prefix(prefix))
+                .ok_or_else(|| format!("missing field '{prefix}'"))
+        };
+        let usize_field = |prefix: &str| -> Result<usize, String> {
+            field(prefix)?
+                .parse()
+                .map_err(|_| format!("bad '{prefix}'"))
+        };
+        let f64_field = |prefix: &str| -> Result<f64, String> {
+            field(prefix)?
+                .parse()
+                .map_err(|_| format!("bad '{prefix}'"))
+        };
+        let qudit = usize_field("q")?;
+        let gate = match kind {
+            "givens" => Gate::Givens {
+                lo: usize_field("lo")?,
+                hi: usize_field("hi")?,
+                theta: f64_field("theta")?,
+                phi: f64_field("phi")?,
+            },
+            "zrot" => Gate::ZRotation {
+                lo: usize_field("lo")?,
+                hi: usize_field("hi")?,
+                theta: f64_field("theta")?,
+            },
+            "phase" => Gate::PhaseLevel {
+                level: usize_field("level")?,
+                angle: f64_field("angle")?,
+            },
+            "shift" => Gate::Shift {
+                amount: field("amount")?.parse().map_err(|_| "bad 'amount'")?,
+            },
+            "fourier" => Gate::Fourier { inverse: false },
+            "fourier-" => Gate::Fourier { inverse: true },
+            other => return Err(format!("unknown gate '{other}'")),
+        };
+        Ok(Instruction::controlled(qudit, gate, controls))
+    }
+
+    /// The `from_line` the cursor replaced: split at `;`, trim, parse.
+    fn reference_from_line(dims: Dims, text: &str) -> Result<Circuit, String> {
+        let mut circuit = Circuit::new(dims);
+        if text.trim().is_empty() {
+            return Ok(circuit);
+        }
+        for segment in text.split(';') {
+            let instruction = reference_instruction(segment.trim())?;
+            circuit.push(instruction).map_err(|e| e.to_string())?;
+        }
+        Ok(circuit)
+    }
+
+    /// An instruction's fields as raw bits, so that `-0.0` and NaN payloads
+    /// compare exactly.
+    fn bits(instruction: &Instruction) -> (usize, Vec<Control>, [u64; 5]) {
+        let gate = match instruction.gate {
+            Gate::Givens { lo, hi, theta, phi } => {
+                [0, lo as u64, hi as u64, theta.to_bits(), phi.to_bits()]
+            }
+            Gate::ZRotation { lo, hi, theta } => [1, lo as u64, hi as u64, theta.to_bits(), 0],
+            Gate::PhaseLevel { level, angle } => [2, level as u64, 0, angle.to_bits(), 0],
+            Gate::Shift { amount } => [3, amount as u64, 0, 0, 0],
+            Gate::Fourier { inverse } => [4, u64::from(inverse), 0, 0, 0],
+            Gate::Unitary(_) => unreachable!("never drawn"),
+        };
+        (instruction.qudit, instruction.controls.clone(), gate)
+    }
+
+    /// Raw draws for one instruction: kind, qudit, two levels, the amount,
+    /// two raw angle patterns (NaN payloads and infinities included), and
+    /// up to four controls.
+    type RawInstruction = (
+        u8,
+        (usize, usize, usize),
+        u64,
+        (u64, u64),
+        Vec<(usize, usize)>,
+    );
+
+    fn raw_instruction(span: usize) -> impl Strategy<Value = RawInstruction> {
+        (
+            0u8..6,
+            (0..span, 0..span, 0..span),
+            0u64..u64::MAX,
+            (0u64..u64::MAX, 0u64..u64::MAX),
+            proptest::collection::vec((0..span, 0..span), 0..5),
+        )
+    }
+
+    fn build(raw: &RawInstruction) -> Instruction {
+        let (kind, (qudit, lo, hi), amount, (theta, phi), ref controls) = *raw;
+        let (theta, phi) = (f64::from_bits(theta), f64::from_bits(phi));
+        let gate = match kind {
+            0 => Gate::Givens { lo, hi, theta, phi },
+            1 => Gate::ZRotation { lo, hi, theta },
+            2 => Gate::PhaseLevel {
+                level: lo,
+                angle: theta,
+            },
+            3 => Gate::Shift {
+                amount: amount as i64,
+            },
+            4 => Gate::Fourier { inverse: false },
+            _ => Gate::Fourier { inverse: true },
+        };
+        let controls = controls.iter().map(|&(q, l)| Control::new(q, l)).collect();
+        Instruction::controlled(qudit, gate, controls)
+    }
+
+    /// Bytes an edit draws from: the format's own alphabet plus the
+    /// whitespace and signs the old parser tolerated.
+    const EDIT_BYTES: &[u8] = b"0123456789 ;@-+.eEqloithapngmuctrlvszfNI\t\n";
+
+    /// Applies `(kind, where, byte)` edits: replace, insert or delete.
+    fn mutate(line: &str, edits: &[(u8, f64, usize)]) -> String {
+        let mut bytes = line.as_bytes().to_vec();
+        for &(kind, at, byte) in edits {
+            let at = ((bytes.len() as f64) * at) as usize;
+            let byte = EDIT_BYTES[byte % EDIT_BYTES.len()];
+            match kind {
+                0 if at < bytes.len() => bytes[at] = byte,
+                1 => bytes.insert(at.min(bytes.len()), byte),
+                _ if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                _ => {}
+            }
+        }
+        String::from_utf8(bytes).expect("edits insert ASCII only")
+    }
+
+    fn cursor_instruction(line: &str) -> Option<Instruction> {
+        let mut c = Cursor::new(line);
+        c.instruction(0).ok().filter(|_| c.is_at_end())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The cursor reads every written instruction back bit for bit,
+        /// and accepts no edit of it that the reference parser refuses;
+        /// where both accept, they agree bit for bit.
+        #[test]
+        fn prop_instruction_decoder_agrees_with_the_reference(
+            raw in raw_instruction(40),
+            edits in proptest::collection::vec((0u8..3, 0.0..1.0f64, 0usize..64), 1..4),
+        ) {
+            let instruction = build(&raw);
+            let mut w = Writer::default();
+            w.instruction(&instruction, 0).unwrap();
+            let line = w.into_string();
+            let decoded = cursor_instruction(&line);
+            prop_assert!(decoded.is_some(), "canonical `{}` refused", line);
+            prop_assert_eq!(bits(&decoded.unwrap()), bits(&instruction));
+
+            let edited = mutate(&line, &edits);
+            if let Some(ours) = cursor_instruction(&edited) {
+                let theirs = reference_instruction(&edited);
+                prop_assert!(theirs.is_ok(), "`{}` accepted, reference refused", edited);
+                prop_assert_eq!(bits(&ours), bits(&theirs.unwrap()));
+            }
+        }
+
+        /// The same at the level of a whole `to_line` body, against the
+        /// `from_line` the cursor replaced (validation included).
+        #[test]
+        fn prop_line_decoder_agrees_with_the_reference(
+            raws in proptest::collection::vec(raw_instruction(4), 1..5),
+            edits in proptest::collection::vec((0u8..3, 0.0..1.0f64, 0usize..64), 0..4),
+        ) {
+            let dims = Dims::new(vec![4, 4, 4, 4]).unwrap();
+            let instructions: Vec<Instruction> = raws.iter().map(build).collect();
+            let mut w = Writer::default();
+            for (index, instruction) in instructions.iter().enumerate() {
+                if index > 0 {
+                    w.str(" ; ");
+                }
+                w.instruction(instruction, index).unwrap();
+            }
+            let line = mutate(w.as_str(), &edits);
+            let ours = from_line(dims.clone(), &line);
+            let theirs = reference_from_line(dims, &line);
+            if edits.is_empty() {
+                prop_assert_eq!(ours.is_ok(), theirs.is_ok(), "`{}`", line);
+            }
+            if let Ok(ours) = ours {
+                prop_assert!(theirs.is_ok(), "`{}` accepted, reference refused", line);
+                let theirs = theirs.unwrap();
+                prop_assert_eq!(ours.len(), theirs.len());
+                for (a, b) in ours.iter().zip(theirs.iter()) {
+                    prop_assert_eq!(bits(a), bits(b));
+                }
+            }
         }
     }
 }

@@ -48,7 +48,7 @@ use std::path::Path;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mdq_circuit::serialize;
+use mdq_circuit::serialize::{self, Cursor, TextError, Writer};
 use mdq_core::{SynthesisReport, VerificationReport};
 use mdq_num::radix::Dims;
 
@@ -140,197 +140,154 @@ pub struct SnapshotLoad {
     pub duration: Duration,
 }
 
-/// Local alias for the workspace-wide raw-bit hex form
-/// ([`serialize::bits_to_hex`]), shared with the wire protocol.
-fn hex(bits: u64) -> String {
-    serialize::bits_to_hex(bits)
+impl From<TextError> for SnapshotError {
+    fn from(e: TextError) -> Self {
+        match e {
+            TextError::Truncated => SnapshotError::Truncated,
+            TextError::Corrupt { line, message } => SnapshotError::Corrupt { line, message },
+        }
+    }
 }
 
-/// `secs:nanos` — the duration text form shared by `mdqsnap` and
-/// `mdqwire` records.
-pub(crate) fn duration_text(d: Duration) -> String {
-    format!("{}:{}", d.as_secs(), d.subsec_nanos())
-}
-
-/// Parses [`duration_text`]'s `secs:nanos` form; `None` when either part
-/// is malformed or the nanosecond part is not a valid sub-second count.
-pub(crate) fn parse_duration_opt(s: &str) -> Option<Duration> {
-    let (secs, nanos) = s.split_once(':')?;
-    let secs: u64 = secs.parse().ok()?;
-    let nanos: u32 = nanos.parse().ok().filter(|&n| n < 1_000_000_000)?;
-    Some(Duration::new(secs, nanos))
-}
-
-/// Strips a `key=` prefix off one field token; the error-agnostic core of
-/// the record grammar, shared with the wire protocol.
-pub(crate) fn field_opt<'a>(token: &'a str, key: &str) -> Option<&'a str> {
-    token.strip_prefix(key)?.strip_prefix('=')
-}
-
-/// The 13-field [`SynthesisReport`] body (everything after the line tag),
+/// Writes the 13 [`SynthesisReport`] fields that follow the line tag,
 /// shared between `mdqsnap` `report` lines and `mdqwire` `synth` lines.
-pub(crate) fn report_body(r: &SynthesisReport) -> String {
-    format!(
-        "ni={} nf={} dci={} dcf={} ops={} cmed={} cmean={} cmax={} rm={} pm={} fb={} t={} tt={}",
-        r.nodes_initial,
-        r.nodes_final,
-        r.distinct_c_initial,
-        r.distinct_c_final,
-        r.operations,
-        hex(r.controls_median.to_bits()),
-        hex(r.controls_mean.to_bits()),
-        r.controls_max,
-        r.removed_nodes,
-        hex(r.pruned_mass.to_bits()),
-        hex(r.fidelity_bound.to_bits()),
-        duration_text(r.time),
-        duration_text(r.total_time),
-    )
+pub(crate) fn write_report_body(w: &mut Writer, r: &SynthesisReport) {
+    w.str(" ni=").usize(r.nodes_initial);
+    w.str(" nf=").usize(r.nodes_final);
+    w.str(" dci=").usize(r.distinct_c_initial);
+    w.str(" dcf=").usize(r.distinct_c_final);
+    w.str(" ops=").usize(r.operations);
+    w.str(" cmed=").hex(r.controls_median.to_bits());
+    w.str(" cmean=").hex(r.controls_mean.to_bits());
+    w.str(" cmax=").usize(r.controls_max);
+    w.str(" rm=").usize(r.removed_nodes);
+    w.str(" pm=").hex(r.pruned_mass.to_bits());
+    w.str(" fb=").hex(r.fidelity_bound.to_bits());
+    w.str(" t=").duration(r.time);
+    w.str(" tt=").duration(r.total_time);
 }
 
-/// Parses [`report_body`], reporting the first offence as a message.
-pub(crate) fn parse_report_body(body: &str) -> Result<SynthesisReport, String> {
-    let tokens: Vec<&str> = body.split_ascii_whitespace().collect();
-    if tokens.len() != 13 {
-        return Err("expected 13 report fields".to_owned());
-    }
-    let raw = |i: usize, key: &str| -> Result<&str, String> {
-        field_opt(tokens[i], key)
-            .ok_or_else(|| format!("expected `{key}=` field, found `{}`", tokens[i]))
+/// Reads [`write_report_body`]'s fields through the end of the line.
+pub(crate) fn read_report_body(c: &mut Cursor) -> Result<SynthesisReport, TextError> {
+    let report = SynthesisReport {
+        nodes_initial: c.expect(" ni=")?.uint("ni")?,
+        nodes_final: c.expect(" nf=")?.uint("nf")?,
+        distinct_c_initial: c.expect(" dci=")?.uint("dci")?,
+        distinct_c_final: c.expect(" dcf=")?.uint("dcf")?,
+        operations: c.expect(" ops=")?.uint("ops")?,
+        controls_median: f64::from_bits(c.expect(" cmed=")?.hex("cmed")?),
+        controls_mean: f64::from_bits(c.expect(" cmean=")?.hex("cmean")?),
+        controls_max: c.expect(" cmax=")?.uint("cmax")?,
+        removed_nodes: c.expect(" rm=")?.uint("rm")?,
+        pruned_mass: f64::from_bits(c.expect(" pm=")?.hex("pm")?),
+        fidelity_bound: f64::from_bits(c.expect(" fb=")?.hex("fb")?),
+        time: c.expect(" t=")?.duration("t")?,
+        total_time: c.expect(" tt=")?.duration("tt")?,
     };
-    let ru = |i: usize, key: &str| -> Result<usize, String> {
-        let s = raw(i, key)?;
-        s.parse().map_err(|_| format!("bad {key}: `{s}`"))
-    };
-    let rf = |i: usize, key: &str| -> Result<f64, String> {
-        let s = raw(i, key)?;
-        serialize::bits_from_hex(s)
-            .map(f64::from_bits)
-            .ok_or_else(|| format!("bad {key}: `{s}`"))
-    };
-    let rd = |i: usize, key: &str| -> Result<Duration, String> {
-        let s = raw(i, key)?;
-        parse_duration_opt(s).ok_or_else(|| format!("bad {key}: `{s}`"))
-    };
-    Ok(SynthesisReport {
-        nodes_initial: ru(0, "ni")?,
-        nodes_final: ru(1, "nf")?,
-        distinct_c_initial: ru(2, "dci")?,
-        distinct_c_final: ru(3, "dcf")?,
-        operations: ru(4, "ops")?,
-        controls_median: rf(5, "cmed")?,
-        controls_mean: rf(6, "cmean")?,
-        controls_max: ru(7, "cmax")?,
-        removed_nodes: ru(8, "rm")?,
-        pruned_mass: rf(9, "pm")?,
-        fidelity_bound: rf(10, "fb")?,
-        time: rd(11, "t")?,
-        total_time: rd(12, "tt")?,
-    })
+    c.end_line()?;
+    Ok(report)
 }
 
-/// The `verify` line body — `none` or `fid=… nodes=… t=…` — shared
-/// between `mdqsnap` and `mdqwire` records.
-pub(crate) fn verification_body(v: Option<&VerificationReport>) -> String {
+/// Writes the `verify` line body — ` none` or ` fid=… nodes=… t=…` —
+/// shared between `mdqsnap` and `mdqwire` records.
+pub(crate) fn write_verification(w: &mut Writer, v: Option<&VerificationReport>) {
     match v {
-        None => "none".to_owned(),
-        Some(v) => format!(
-            "fid={} nodes={} t={}",
-            hex(v.fidelity.to_bits()),
-            v.replay_nodes,
-            duration_text(v.duration),
-        ),
-    }
-}
-
-/// Parses [`verification_body`].
-pub(crate) fn parse_verification_body(body: &str) -> Result<Option<VerificationReport>, String> {
-    if body == "none" {
-        return Ok(None);
-    }
-    let tokens: Vec<&str> = body.split_ascii_whitespace().collect();
-    if tokens.len() != 3 {
-        return Err("expected 3 verification fields".to_owned());
-    }
-    let raw = |i: usize, key: &str| -> Result<&str, String> {
-        field_opt(tokens[i], key)
-            .ok_or_else(|| format!("expected `{key}=` field, found `{}`", tokens[i]))
+        None => w.str(" none"),
+        Some(v) => w
+            .str(" fid=")
+            .hex(v.fidelity.to_bits())
+            .str(" nodes=")
+            .usize(v.replay_nodes)
+            .str(" t=")
+            .duration(v.duration),
     };
-    let fid = raw(0, "fid")?;
-    let nodes = raw(1, "nodes")?;
-    let t = raw(2, "t")?;
-    Ok(Some(VerificationReport {
-        fidelity: serialize::bits_from_hex(fid)
-            .map(f64::from_bits)
-            .ok_or_else(|| format!("bad fid: `{fid}`"))?,
-        replay_nodes: nodes.parse().map_err(|_| format!("bad nodes: `{nodes}`"))?,
-        duration: parse_duration_opt(t).ok_or_else(|| format!("bad t: `{t}`"))?,
-    }))
 }
 
-/// Serializes one cache entry into its record text (the `entry` … `end`
-/// block, every line newline-terminated). Fails only for circuits holding
-/// raw [`mdq_circuit::Gate::Unitary`] gates, which the text format cannot
+/// Reads [`write_verification`]'s body through the end of the line.
+pub(crate) fn read_verification(
+    c: &mut Cursor,
+) -> Result<Option<VerificationReport>, TextError> {
+    let verification = if c.eat(" none") {
+        None
+    } else {
+        Some(VerificationReport {
+            fidelity: f64::from_bits(c.expect(" fid=")?.hex("fid")?),
+            replay_nodes: c.expect(" nodes=")?.uint("nodes")?,
+            duration: c.expect(" t=")?.duration("t")?,
+        })
+    };
+    c.end_line()?;
+    Ok(verification)
+}
+
+/// Writes one cache entry's record (the `entry` … `end` block, every line
+/// newline-terminated). Fails only for circuits holding raw
+/// [`mdq_circuit::Gate::Unitary`] gates, which the text format cannot
 /// express — the synthesis pipeline never emits those.
-fn record_text(
+fn write_record(
+    w: &mut Writer,
     key: &CanonicalKey,
     value: &CachedPreparation,
-) -> Result<String, serialize::SerializeError> {
-    use std::fmt::Write as _;
-    let circuit_line = serialize::to_line(&value.circuit)?;
-    let mut out = String::new();
-    out.push_str("entry\n");
-    out.push_str("dims");
-    for d in &key.dims {
-        let _ = write!(out, " {d}");
-    }
-    out.push('\n');
+) -> Result<(), serialize::SerializeError> {
     let o = &key.options;
-    let fth = match o.fidelity_threshold {
-        Some(bits) => hex(bits),
-        None => "none".to_owned(),
+    w.str("entry\ndims").usizes(&key.dims).str("\nopts fth=");
+    match o.fidelity_threshold {
+        Some(bits) => w.hex(bits),
+        None => w.str("none"),
     };
-    let _ = writeln!(
-        out,
-        "opts fth={fth} tol={} pr={} skip={} dir={} red={} kzs={}",
-        hex(o.tolerance),
-        o.product_rule,
-        u8::from(o.skip_identities),
-        o.direction,
-        u8::from(o.reduce),
-        u8::from(o.keep_zero_subtrees),
-    );
-    out.push_str("sup");
+    w.str(" tol=").hex(o.tolerance);
+    w.str(" pr=").u64(o.product_rule.into());
+    w.str(" skip=").u64(o.skip_identities.into());
+    w.str(" dir=").u64(o.direction.into());
+    w.str(" red=").u64(o.reduce.into());
+    w.str(" kzs=").u64(o.keep_zero_subtrees.into());
+    w.str("\nsup");
     for &(idx, re, im) in &key.support {
-        let _ = write!(out, " {idx}:{}:{}", hex(re), hex(im));
+        w.str(" ").u64(idx).str(":").hex(re).str(":").hex(im);
     }
-    out.push('\n');
-    let _ = writeln!(out, "circuit {circuit_line}");
-    let _ = writeln!(out, "report {}", report_body(&value.report));
-    let _ = writeln!(
-        out,
-        "verify {}",
-        verification_body(value.verification.as_ref())
-    );
-    out.push_str("end\n");
-    Ok(out)
+    w.str("\ncircuit ").circuit_line(&value.circuit)?.str("\nreport");
+    write_report_body(w, &value.report);
+    w.str("\nverify");
+    write_verification(w, value.verification.as_ref());
+    w.str("\nend\n");
+    Ok(())
+}
+
+/// A size estimate of one record, so that a snapshot is written into one
+/// allocation.
+fn record_capacity(key: &CanonicalKey, value: &CachedPreparation) -> usize {
+    512 + 21 * key.dims.len()
+        + 55 * key.support.len()
+        + serialize::line_capacity(&value.circuit)
 }
 
 /// Renders the full snapshot text for a set of cache entries,
-/// deterministically ordered.
+/// deterministically ordered: records are written into one buffer, then
+/// copied out sorted by their text.
 fn snapshot_text(entries: &[(u64, CanonicalKey, Arc<CachedPreparation>)]) -> (String, usize) {
-    let mut records: Vec<String> = entries
+    let capacity = entries
         .iter()
-        .filter_map(|(_, key, value)| record_text(key, value).ok())
-        .collect();
-    records.sort_unstable();
-    let mut text = format!("mdqsnap {VERSION}\nentries {}\n", records.len());
-    for record in &records {
-        text.push_str(record);
+        .map(|(_, key, value)| record_capacity(key, value))
+        .sum();
+    let mut records = Writer::with_capacity(capacity);
+    let mut spans = Vec::with_capacity(entries.len());
+    for (_, key, value) in entries {
+        let start = records.len();
+        match write_record(&mut records, key, value) {
+            Ok(()) => spans.push(start..records.len()),
+            Err(_) => records.truncate(start),
+        }
     }
-    text.push_str("done\n");
-    let count = records.len();
-    (text, count)
+    let records = records.into_string();
+    spans.sort_unstable_by(|a, b| records[a.clone()].cmp(&records[b.clone()]));
+    let mut w = Writer::with_capacity(records.len() + 64);
+    w.str("mdqsnap ").u64(VERSION.into());
+    w.str("\nentries ").usize(spans.len()).str("\n");
+    for span in &spans {
+        w.str(&records[span.clone()]);
+    }
+    w.str("done\n");
+    (w.into_string(), spans.len())
 }
 
 /// Writes the cache's current contents to `path`, atomically (the file is
@@ -345,124 +302,48 @@ pub fn save(cache: &CircuitCache, path: &Path) -> Result<SnapshotStats, Snapshot
     Ok(SnapshotStats { entries, bytes })
 }
 
-fn corrupt(line: usize, message: impl Into<String>) -> SnapshotError {
-    SnapshotError::Corrupt {
-        line: line + 1,
-        message: message.into(),
-    }
-}
+/// Reads one record, starting at its `entry` line.
+fn read_record(c: &mut Cursor) -> Result<(CanonicalKey, CachedPreparation), TextError> {
+    c.line("entry")?.end_line()?;
+    let dims = c.line("dims")?.uints("dimension")?;
+    let register =
+        Dims::new(dims.clone()).map_err(|e| c.corrupt(format!("bad register: {e:?}")))?;
+    c.end_line()?;
 
-/// Strips `"<tag> "` (or exactly `tag`) off a record line.
-fn tagged<'a>(lines: &[&'a str], index: usize, tag: &str) -> Result<&'a str, SnapshotError> {
-    let line = *lines.get(index).ok_or(SnapshotError::Truncated)?;
-    if line == tag {
-        Ok("")
+    let fidelity_threshold = if c.line("opts")?.expect(" fth=")?.eat("none") {
+        None
     } else {
-        line.strip_prefix(tag)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .ok_or_else(|| corrupt(index, format!("expected `{tag}` line")))
-    }
-}
-
-/// Strips a `key=` prefix off one field token.
-fn field<'a>(token: &'a str, key: &str, line: usize) -> Result<&'a str, SnapshotError> {
-    token
-        .strip_prefix(key)
-        .and_then(|rest| rest.strip_prefix('='))
-        .ok_or_else(|| corrupt(line, format!("expected `{key}=` field, found `{token}`")))
-}
-
-fn parse_usize(s: &str, line: usize, what: &str) -> Result<usize, SnapshotError> {
-    s.parse()
-        .map_err(|_| corrupt(line, format!("bad {what}: `{s}`")))
-}
-
-fn parse_hex(s: &str, line: usize, what: &str) -> Result<u64, SnapshotError> {
-    serialize::bits_from_hex(s).ok_or_else(|| corrupt(line, format!("bad {what}: `{s}`")))
-}
-
-/// Parses one record starting at `lines[start]` (the `entry` line).
-fn parse_record(
-    lines: &[&str],
-    start: usize,
-) -> Result<(CanonicalKey, CachedPreparation), SnapshotError> {
-    if *lines.get(start).ok_or(SnapshotError::Truncated)? != "entry" {
-        return Err(corrupt(start, "expected `entry` line"));
-    }
-
-    let dims_line = tagged(lines, start + 1, "dims")?;
-    let dims: Vec<usize> = dims_line
-        .split_ascii_whitespace()
-        .map(|t| parse_usize(t, start + 1, "dimension"))
-        .collect::<Result<_, _>>()?;
-
-    let opts_line = start + 2;
-    let tokens: Vec<&str> = tagged(lines, opts_line, "opts")?
-        .split_ascii_whitespace()
-        .collect();
-    if tokens.len() != 7 {
-        return Err(corrupt(opts_line, "expected 7 option fields"));
-    }
-    let fth = field(tokens[0], "fth", opts_line)?;
-    let bool_field = |raw: &str| match raw {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        other => Err(corrupt(opts_line, format!("bad flag: `{other}`"))),
+        Some(c.hex("fidelity threshold")?)
     };
     let options = OptionsKey {
-        fidelity_threshold: if fth == "none" {
-            None
-        } else {
-            Some(parse_hex(fth, opts_line, "fidelity threshold")?)
-        },
-        tolerance: parse_hex(field(tokens[1], "tol", opts_line)?, opts_line, "tolerance")?,
-        product_rule: parse_usize(
-            field(tokens[2], "pr", opts_line)?,
-            opts_line,
-            "product rule",
-        )? as u8,
-        skip_identities: bool_field(field(tokens[3], "skip", opts_line)?)?,
-        direction: parse_usize(field(tokens[4], "dir", opts_line)?, opts_line, "direction")? as u8,
-        reduce: bool_field(field(tokens[5], "red", opts_line)?)?,
-        keep_zero_subtrees: bool_field(field(tokens[6], "kzs", opts_line)?)?,
+        fidelity_threshold,
+        tolerance: c.expect(" tol=")?.hex("tolerance")?,
+        product_rule: c.expect(" pr=")?.uint("product rule")?,
+        skip_identities: c.expect(" skip=")?.flag("skip")?,
+        direction: c.expect(" dir=")?.uint("direction")?,
+        reduce: c.expect(" red=")?.flag("red")?,
+        keep_zero_subtrees: c.expect(" kzs=")?.flag("kzs")?,
     };
+    c.end_line()?;
 
-    let sup_line = start + 3;
-    let support: Vec<(u64, u64, u64)> = tagged(lines, sup_line, "sup")?
-        .split_ascii_whitespace()
-        .map(|token| {
-            let mut parts = token.split(':');
-            let idx = parts.next().unwrap_or_default();
-            let re = parts.next().unwrap_or_default();
-            let im = parts.next().unwrap_or_default();
-            if parts.next().is_some() {
-                return Err(corrupt(sup_line, format!("bad support entry: `{token}`")));
-            }
-            Ok((
-                parse_usize(idx, sup_line, "support index")? as u64,
-                parse_hex(re, sup_line, "support re bits")?,
-                parse_hex(im, sup_line, "support im bits")?,
-            ))
-        })
-        .collect::<Result<_, _>>()?;
-
-    let circuit_line = start + 4;
-    let register =
-        Dims::new(dims.clone()).map_err(|e| corrupt(start + 1, format!("bad register: {e:?}")))?;
-    let circuit = serialize::from_line(register, tagged(lines, circuit_line, "circuit")?)
-        .map_err(|e| corrupt(circuit_line, format!("bad circuit: {e}")))?;
-
-    let report_line = start + 5;
-    let report = parse_report_body(tagged(lines, report_line, "report")?)
-        .map_err(|message| corrupt(report_line, message))?;
-
-    let verify_line = start + 6;
-    let verification = parse_verification_body(tagged(lines, verify_line, "verify")?)
-        .map_err(|message| corrupt(verify_line, message))?;
-
-    if *lines.get(start + 7).ok_or(SnapshotError::Truncated)? != "end" {
-        return Err(corrupt(start + 7, "expected `end` line"));
+    c.line("sup")?;
+    let mut support = Vec::new();
+    while c.eat(" ") {
+        let index = c.uint("support index")?;
+        let re = c.expect(":")?.hex("support re bits")?;
+        let im = c.expect(":")?.hex("support im bits")?;
+        support.push((index, re, im));
     }
+    c.end_line()?;
+
+    c.line("circuit")?.eat(" ");
+    let circuit = c
+        .circuit_line(register)
+        .map_err(|e| c.corrupt(format!("bad circuit: {e}")))?;
+    c.end_line()?;
+    let report = read_report_body(c.line("report")?)?;
+    let verification = read_verification(c.line("verify")?)?;
+    c.line("end")?.end_line()?;
 
     Ok((
         CanonicalKey {
@@ -478,50 +359,49 @@ fn parse_record(
     ))
 }
 
-/// Lines per record (`entry` through `end`).
-const RECORD_LINES: usize = 8;
-
-/// Parses a whole snapshot, returning the loadable entries (fingerprint
-/// re-derived from each parsed key) and how many records were dropped by
-/// the round-trip guard.
+/// Parses a whole snapshot with the shared [`Cursor`], returning the
+/// loadable entries (fingerprint re-derived from each parsed key) and how
+/// many records were dropped by the round-trip guard.
 fn parse_snapshot(text: &str) -> Result<(CacheEntries, usize), SnapshotError> {
-    let lines: Vec<&str> = text.lines().collect();
-    let header = *lines.first().ok_or(SnapshotError::NotASnapshot)?;
-    let Some(version) = header.strip_prefix("mdqsnap ") else {
-        return Err(SnapshotError::NotASnapshot);
-    };
-    let found: u32 = version.parse().map_err(|_| SnapshotError::NotASnapshot)?;
+    let mut c = Cursor::new(text);
+    let found = c
+        .expect("mdqsnap ")
+        .and_then(|c| c.uint("version"))
+        .ok()
+        .filter(|_| c.end_line().is_ok())
+        .ok_or(SnapshotError::NotASnapshot)?;
     if found != VERSION {
         return Err(SnapshotError::Version {
             found,
             supported: VERSION,
         });
     }
-    let declared = parse_usize(tagged(&lines, 1, "entries")?, 1, "entry count")?;
+    let declared: usize = c.line("entries")?.expect(" ")?.uint("entry count")?;
+    c.end_line()?;
 
-    let mut entries = Vec::with_capacity(declared);
+    // Nothing is sized from the declared count: a hostile count runs out
+    // of records, not of memory.
+    let mut entries = Vec::new();
     let mut skipped = 0;
-    let mut cursor = 2;
+    let mut rewritten = Writer::default();
     for _ in 0..declared {
-        let (key, value) = parse_record(&lines, cursor)?;
+        let start = c.offset();
+        let (key, value) = read_record(&mut c)?;
         // Round-trip guard: a record only loads if re-serializing the
         // parsed entry reproduces the file's bytes exactly. Anything that
         // drifted — an old encoding, a normalization difference — is
         // dropped here rather than trusted.
-        let original = lines[cursor..cursor + RECORD_LINES].join("\n");
-        match record_text(&key, &value) {
-            Ok(text) if text.trim_end_matches('\n') == original => {
-                entries.push((fingerprint_of(&key), key, Arc::new(value)));
-            }
-            _ => skipped += 1,
+        rewritten.clear();
+        let exact = write_record(&mut rewritten, &key, &value).is_ok()
+            && rewritten.as_str() == &text[start..c.offset()];
+        if exact {
+            entries.push((fingerprint_of(&key), key, Arc::new(value)));
+        } else {
+            skipped += 1;
         }
-        cursor += RECORD_LINES;
     }
-    match lines.get(cursor) {
-        Some(&"done") => Ok((entries, skipped)),
-        Some(_) => Err(corrupt(cursor, "expected `done` footer")),
-        None => Err(SnapshotError::Truncated),
-    }
+    c.line("done")?.end_line()?;
+    Ok((entries, skipped))
 }
 
 /// Loads a snapshot into a live cache. Each record's fingerprint is

@@ -54,7 +54,7 @@
 
 use std::fmt;
 
-use mdq_circuit::serialize;
+use mdq_circuit::serialize::{self, Cursor, TextError, Writer};
 use mdq_core::{Direction, PrepareOptions, ProductRule, VerificationPolicy};
 use mdq_num::radix::Dims;
 use mdq_num::{Complex, Tolerance};
@@ -62,10 +62,7 @@ use mdq_num::{Complex, Tolerance};
 use crate::request::{PrepareReport, PrepareRequest, StatePayload};
 use crate::scheduler::Priority;
 use crate::service::EngineError;
-use crate::snapshot::{
-    duration_text, field_opt, parse_duration_opt, parse_report_body, parse_verification_body,
-    report_body, verification_body,
-};
+use crate::snapshot::{read_report_body, read_verification, write_report_body, write_verification};
 
 /// The wire format version this build writes and accepts.
 pub const VERSION: u32 = 1;
@@ -244,12 +241,9 @@ pub enum Frame {
     Error(ErrorFrame),
 }
 
-fn hex(bits: u64) -> String {
-    serialize::bits_to_hex(bits)
-}
-
 impl Frame {
-    /// Serializes the frame to its `mdqwire` text (newline-terminated).
+    /// Serializes the frame to its `mdqwire` text (newline-terminated),
+    /// in one buffer sized up front by the shared [`Writer`].
     ///
     /// Newlines inside a pipeline error message are replaced by spaces so
     /// a message can never break the line framing; every other field is
@@ -260,111 +254,43 @@ impl Frame {
     /// [`WireError::Unserializable`] when a report's circuit holds an
     /// explicit-unitary gate (no textual form).
     pub fn to_text(&self) -> Result<String, WireError> {
-        use std::fmt::Write as _;
-        let mut out = format!("mdqwire {VERSION}\n");
+        let mut w = Writer::with_capacity(self.text_capacity());
+        w.str("mdqwire ").u64(VERSION.into()).str("\n");
         match self {
-            Frame::Request(frame) => {
-                let tenant = match frame.tenant {
-                    Some(id) => id.to_string(),
-                    None => "none".to_owned(),
-                };
-                let priority = match frame.request.priority {
-                    Priority::Low => "low",
-                    Priority::Normal => "normal",
-                    Priority::High => "high",
-                };
-                let _ = writeln!(out, "request tenant={tenant} priority={priority}");
-                push_dims(&mut out, &frame.request.dims);
-                let _ = writeln!(out, "opts {}", options_body(&frame.request.options));
-                match &frame.request.payload {
-                    StatePayload::Dense(amplitudes) => {
-                        out.push_str("dense");
-                        for a in amplitudes {
-                            let _ = write!(out, " {}:{}", hex(a.re.to_bits()), hex(a.im.to_bits()));
-                        }
-                        out.push('\n');
-                    }
-                    StatePayload::Sparse(entries) => {
-                        out.push_str("sparse");
-                        for (digits, a) in entries {
-                            let digits = digits
-                                .iter()
-                                .map(ToString::to_string)
-                                .collect::<Vec<_>>()
-                                .join(".");
-                            let _ = write!(
-                                out,
-                                " {digits}:{}:{}",
-                                hex(a.re.to_bits()),
-                                hex(a.im.to_bits())
-                            );
-                        }
-                        out.push('\n');
-                    }
-                }
-            }
-            Frame::Report(frame) => {
-                let circuit_line = serialize::to_line(&frame.report.circuit)?;
-                let from = if frame.report.from_cache {
-                    "cache"
-                } else {
-                    "fresh"
-                };
-                let _ = writeln!(out, "report from={from}");
-                push_dims(&mut out, &frame.dims);
-                let _ = writeln!(out, "circuit {circuit_line}");
-                let _ = writeln!(out, "synth {}", report_body(&frame.report.report));
-                let _ = writeln!(
-                    out,
-                    "verify {}",
-                    verification_body(frame.report.verification.as_ref())
-                );
-                let _ = writeln!(
-                    out,
-                    "timing elapsed={} queue={} admission={}",
-                    duration_text(frame.report.elapsed),
-                    duration_text(frame.report.queue_wait),
-                    duration_text(frame.report.admission_wait),
-                );
-            }
-            Frame::Error(frame) => {
-                let body = match frame {
-                    ErrorFrame::Prepare { message } => {
-                        format!("prepare {}", message.replace(['\n', '\r'], " "))
-                    }
-                    ErrorFrame::Shutdown => "shutdown".to_owned(),
-                    ErrorFrame::QueueClosed => "queue-closed".to_owned(),
-                    ErrorFrame::QueueFull { depth, limit } => {
-                        format!("queue-full depth={depth} limit={limit}")
-                    }
-                    ErrorFrame::VerificationFailed {
-                        fidelity,
-                        threshold,
-                    } => format!(
-                        "verification-failed fid={} min={}",
-                        hex(*fidelity),
-                        hex(*threshold)
-                    ),
-                    ErrorFrame::TenantOverQuota {
-                        tenant,
-                        in_flight,
-                        limit,
-                    } => format!(
-                        "tenant-over-quota tenant={tenant} in-flight={in_flight} limit={limit}"
-                    ),
-                    ErrorFrame::NoShards => "no-shards".to_owned(),
-                    ErrorFrame::BadFrame { message } => {
-                        format!("bad-frame {}", message.replace(['\n', '\r'], " "))
-                    }
-                };
-                let _ = writeln!(out, "error {body}");
-            }
+            Frame::Request(frame) => write_request(&mut w, frame),
+            Frame::Report(frame) => write_report(&mut w, frame)?,
+            Frame::Error(frame) => write_error(&mut w, frame),
         }
-        out.push_str("end\n");
-        Ok(out)
+        w.str("end\n");
+        Ok(w.into_string())
     }
 
-    /// Parses one frame. Trusts nothing: structural damage yields
+    /// A size estimate of the frame's text, so that it is written into one
+    /// allocation.
+    fn text_capacity(&self) -> usize {
+        256 + match self {
+            Frame::Request(frame) => {
+                let request = &frame.request;
+                21 * request.dims.len()
+                    + match &request.payload {
+                        StatePayload::Dense(amplitudes) => 34 * amplitudes.len(),
+                        StatePayload::Sparse(entries) => {
+                            entries.iter().map(|(digits, _)| 35 + 3 * digits.len()).sum()
+                        }
+                    }
+            }
+            Frame::Report(frame) => {
+                21 * frame.dims.len() + serialize::line_capacity(&frame.report.circuit)
+            }
+            Frame::Error(ErrorFrame::Prepare { message } | ErrorFrame::BadFrame { message }) => {
+                message.len()
+            }
+            Frame::Error(_) => 0,
+        }
+    }
+
+    /// Parses one frame with the shared [`Cursor`], in one pass over the
+    /// bytes. Trusts nothing: structural damage yields
     /// [`WireError::Truncated`] / [`WireError::Corrupt`] (with the 1-based
     /// offending line), never a panic — including tolerance bits that
     /// would violate [`Tolerance`]'s finite-and-non-negative invariant.
@@ -395,198 +321,134 @@ impl Frame {
         }
         // The final `end` line must carry its newline: a frame that stops
         // at `…end` could still be a prefix of a longer, different stream.
-        let Some(body) = text.strip_suffix('\n') else {
+        if !text.ends_with('\n') {
             return Err(WireError::Truncated);
-        };
-        let lines: Vec<&str> = body.split('\n').collect();
-        let header = *lines.first().ok_or(WireError::NotAFrame)?;
-        let Some(version) = header.strip_prefix("mdqwire ") else {
-            return Err(WireError::NotAFrame);
-        };
-        let found = parse_version(version).ok_or(WireError::NotAFrame)?;
+        }
+        let mut c = Cursor::new(text);
+        let found = c
+            .expect("mdqwire ")
+            .and_then(|c| c.uint("version"))
+            .ok()
+            .filter(|_| c.eat("\n"))
+            .ok_or(WireError::NotAFrame)?;
         if found != VERSION {
             return Err(WireError::Version {
                 found,
                 supported: VERSION,
             });
         }
-        let kind = *lines.get(1).ok_or(WireError::Truncated)?;
-        let (frame, body_lines) = if kind.starts_with("request") {
-            (Frame::Request(parse_request(&lines)?), 4)
-        } else if kind.starts_with("report") {
-            (Frame::Report(parse_report(&lines)?), 6)
-        } else if kind.starts_with("error") {
-            (Frame::Error(parse_error(&lines)?), 1)
+        let frame = if c.starts_with("request") {
+            Frame::Request(read_request(&mut c)?)
+        } else if c.starts_with("report") {
+            Frame::Report(read_report(&mut c)?)
+        } else if c.starts_with("error") {
+            Frame::Error(read_error(&mut c)?)
+        } else if c.is_at_end() {
+            return Err(WireError::Truncated);
         } else {
-            return Err(corrupt(1, "expected `request`, `report` or `error` line"));
+            return Err(c
+                .corrupt("expected `request`, `report` or `error` line")
+                .into());
         };
-        let end = 1 + body_lines;
-        match lines.get(end) {
-            Some(&"end") => {}
-            Some(_) => return Err(corrupt(end, "expected `end` line")),
-            None => return Err(WireError::Truncated),
-        }
-        if lines.len() > end + 1 {
-            return Err(corrupt(end + 1, "unexpected content after `end`"));
+        c.line("end")?.end_line()?;
+        if !c.is_at_end() {
+            return Err(c.corrupt("unexpected content after `end`").into());
         }
         Ok(frame)
     }
 }
 
-/// The request-frame `opts` body: every [`PrepareOptions`] field, raw-bit.
-/// Unlike the snapshot's `OptionsKey` (which stores the *effective*
-/// `keep_zero_subtrees`), this is the request **as given** — the wire must
-/// reproduce the submitted request exactly, and the receiving engine
-/// re-derives every effective value itself.
-fn options_body(options: &PrepareOptions) -> String {
-    let fth = match options.fidelity_threshold {
-        Some(f) => hex(f.to_bits()),
-        None => "none".to_owned(),
+impl From<TextError> for WireError {
+    fn from(e: TextError) -> Self {
+        match e {
+            TextError::Truncated => WireError::Truncated,
+            TextError::Corrupt { line, message } => WireError::Corrupt { line, message },
+        }
+    }
+}
+
+fn write_request(w: &mut Writer, frame: &RequestFrame) {
+    let request = &frame.request;
+    w.str("request tenant=");
+    match frame.tenant {
+        Some(id) => w.u64(id),
+        None => w.str("none"),
     };
-    let ver = match options.verification {
-        VerificationPolicy::Off => "none".to_owned(),
-        VerificationPolicy::Replay { min_fidelity } => hex(min_fidelity.to_bits()),
-    };
-    format!(
-        "fth={fth} tol={} pr={} skip={} dir={} red={} kzs={} ver={ver}",
-        hex(options.tolerance.value().to_bits()),
-        match options.synthesis.product_rule {
-            ProductRule::Off => 0,
-            ProductRule::SharedChild => 1,
-            ProductRule::SharedChildOrSingle => 2,
-        },
-        u8::from(options.synthesis.skip_identities),
-        match options.synthesis.direction {
-            Direction::Prepare => 0,
-            Direction::Disentangle => 1,
-        },
-        u8::from(options.reduce),
-        u8::from(options.keep_zero_subtrees),
-    )
-}
-
-fn push_dims(out: &mut String, dims: &Dims) {
-    use std::fmt::Write as _;
-    out.push_str("dims");
-    for d in dims.as_slice() {
-        let _ = write!(out, " {d}");
+    w.str(match request.priority {
+        Priority::Low => " priority=low\ndims",
+        Priority::Normal => " priority=normal\ndims",
+        Priority::High => " priority=high\ndims",
+    });
+    w.usizes(request.dims.as_slice()).str("\nopts");
+    write_options(w, &request.options);
+    match &request.payload {
+        StatePayload::Dense(amplitudes) => {
+            w.str("\ndense");
+            for a in amplitudes {
+                w.str(" ").hex(a.re.to_bits()).str(":").hex(a.im.to_bits());
+            }
+        }
+        StatePayload::Sparse(entries) => {
+            w.str("\nsparse");
+            for (digits, a) in entries {
+                w.str(" ");
+                for (i, &digit) in digits.iter().enumerate() {
+                    if i > 0 {
+                        w.str(".");
+                    }
+                    w.usize(digit);
+                }
+                w.str(":").hex(a.re.to_bits()).str(":").hex(a.im.to_bits());
+            }
+        }
     }
-    out.push('\n');
+    w.str("\n");
 }
 
-/// Parses the header's version token in its canonical form only: plain
-/// decimal digits, no sign, no leading zeros. `u32::parse` alone would
-/// accept `+1` and `01` — frames this build never writes.
-fn parse_version(token: &str) -> Option<u32> {
-    if token.is_empty() || !token.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    if token.len() > 1 && token.starts_with('0') {
-        return None;
-    }
-    token.parse().ok()
-}
-
-fn corrupt(line: usize, message: impl Into<String>) -> WireError {
-    WireError::Corrupt {
-        line: line + 1,
-        message: message.into(),
-    }
-}
-
-/// Strips `"<tag> "` (or exactly `tag`) off a frame line.
-fn tagged<'a>(lines: &[&'a str], index: usize, tag: &str) -> Result<&'a str, WireError> {
-    let line = *lines.get(index).ok_or(WireError::Truncated)?;
-    if line == tag {
-        Ok("")
-    } else {
-        line.strip_prefix(tag)
-            .and_then(|rest| rest.strip_prefix(' '))
-            .ok_or_else(|| corrupt(index, format!("expected `{tag}` line")))
-    }
-}
-
-/// Strips a `key=` prefix off one field token.
-fn field<'a>(token: &'a str, key: &str, line: usize) -> Result<&'a str, WireError> {
-    field_opt(token, key)
-        .ok_or_else(|| corrupt(line, format!("expected `{key}=` field, found `{token}`")))
-}
-
-fn parse_hex(s: &str, line: usize, what: &str) -> Result<u64, WireError> {
-    serialize::bits_from_hex(s).ok_or_else(|| corrupt(line, format!("bad {what}: `{s}`")))
-}
-
-fn parse_usize(s: &str, line: usize, what: &str) -> Result<usize, WireError> {
-    s.parse()
-        .map_err(|_| corrupt(line, format!("bad {what}: `{s}`")))
-}
-
-fn parse_dims(lines: &[&str], index: usize) -> Result<Dims, WireError> {
-    let dims: Vec<usize> = tagged(lines, index, "dims")?
-        .split_ascii_whitespace()
-        .map(|t| parse_usize(t, index, "dimension"))
-        .collect::<Result<_, _>>()?;
-    Dims::new(dims).map_err(|e| corrupt(index, format!("bad register: {e:?}")))
-}
-
-fn parse_request(lines: &[&str]) -> Result<RequestFrame, WireError> {
-    let tokens: Vec<&str> = tagged(lines, 1, "request")?
-        .split_ascii_whitespace()
-        .collect();
-    if tokens.len() != 2 {
-        return Err(corrupt(1, "expected 2 request fields"));
-    }
-    let tenant_raw = field(tokens[0], "tenant", 1)?;
-    let tenant = if tenant_raw == "none" {
+fn read_request(c: &mut Cursor) -> Result<RequestFrame, TextError> {
+    let tenant = if c.line("request")?.expect(" tenant=")?.eat("none") {
         None
     } else {
-        Some(
-            tenant_raw
-                .parse()
-                .map_err(|_| corrupt(1, format!("bad tenant: `{tenant_raw}`")))?,
-        )
+        Some(c.uint("tenant")?)
     };
-    let priority = match field(tokens[1], "priority", 1)? {
+    let priority = match c.expect(" priority=")?.word() {
         "low" => Priority::Low,
         "normal" => Priority::Normal,
         "high" => Priority::High,
-        other => return Err(corrupt(1, format!("bad priority: `{other}`"))),
+        other => return Err(c.corrupt(format!("bad priority: `{other}`"))),
     };
-
-    let dims = parse_dims(lines, 2)?;
-    let options = parse_options(lines, 3)?;
-
-    let payload_line = *lines.get(4).ok_or(WireError::Truncated)?;
-    let payload = if payload_line == "dense" || payload_line.starts_with("dense ") {
-        let amplitudes = tagged(lines, 4, "dense")?
-            .split_ascii_whitespace()
-            .map(|token| parse_amplitude(token, 4))
-            .collect::<Result<Vec<Complex>, _>>()?;
-        StatePayload::Dense(amplitudes)
-    } else if payload_line == "sparse" || payload_line.starts_with("sparse ") {
-        let entries = tagged(lines, 4, "sparse")?
-            .split_ascii_whitespace()
-            .map(|token| {
-                let parts: Vec<&str> = token.split(':').collect();
-                let [digits, re, im] = parts[..] else {
-                    return Err(corrupt(4, format!("bad sparse entry: `{token}`")));
-                };
-                let digits: Vec<usize> = if digits.is_empty() {
-                    Vec::new()
-                } else {
-                    digits
-                        .split('.')
-                        .map(|d| parse_usize(d, 4, "sparse digit"))
-                        .collect::<Result<_, _>>()?
-                };
-                Ok((digits, parse_components(re, im, 4)?))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        StatePayload::Sparse(entries)
-    } else {
-        return Err(corrupt(4, "expected `dense` or `sparse` line"));
+    c.end_line()?;
+    let dims = read_dims(c)?;
+    let options = read_options(c)?;
+    if c.is_at_end() {
+        return Err(TextError::Truncated);
+    }
+    let payload = match c.word() {
+        "dense" => {
+            let mut amplitudes = Vec::new();
+            while c.eat(" ") {
+                amplitudes.push(read_amplitude(c)?);
+            }
+            StatePayload::Dense(amplitudes)
+        }
+        "sparse" => {
+            let mut entries = Vec::new();
+            while c.eat(" ") {
+                let mut digits = Vec::new();
+                if !c.starts_with(":") {
+                    digits.push(c.uint("sparse digit")?);
+                    while c.eat(".") {
+                        digits.push(c.uint("sparse digit")?);
+                    }
+                }
+                c.expect(":")?;
+                entries.push((digits, read_amplitude(c)?));
+            }
+            StatePayload::Sparse(entries)
+        }
+        _ => return Err(c.corrupt("expected `dense` or `sparse` line")),
     };
-
+    c.end_line()?;
     Ok(RequestFrame {
         tenant,
         request: PrepareRequest {
@@ -598,110 +460,132 @@ fn parse_request(lines: &[&str]) -> Result<RequestFrame, WireError> {
     })
 }
 
-fn parse_amplitude(token: &str, line: usize) -> Result<Complex, WireError> {
-    let (re, im) = token
-        .split_once(':')
-        .ok_or_else(|| corrupt(line, format!("bad amplitude: `{token}`")))?;
-    parse_components(re, im, line)
+/// `<re-hex16>:<im-hex16>`.
+fn read_amplitude(c: &mut Cursor) -> Result<Complex, TextError> {
+    let re = c.hex("re bits")?;
+    let im = c.expect(":")?.hex("im bits")?;
+    Ok(Complex::new(f64::from_bits(re), f64::from_bits(im)))
 }
 
-fn parse_components(re: &str, im: &str, line: usize) -> Result<Complex, WireError> {
-    Ok(Complex::new(
-        f64::from_bits(parse_hex(re, line, "re bits")?),
-        f64::from_bits(parse_hex(im, line, "im bits")?),
-    ))
+/// The `dims` line, validated into a register.
+fn read_dims(c: &mut Cursor) -> Result<Dims, TextError> {
+    let dims = c.line("dims")?.uints("dimension")?;
+    let dims = Dims::new(dims).map_err(|e| c.corrupt(format!("bad register: {e:?}")))?;
+    c.end_line()?;
+    Ok(dims)
 }
 
-fn parse_options(lines: &[&str], index: usize) -> Result<PrepareOptions, WireError> {
-    let tokens: Vec<&str> = tagged(lines, index, "opts")?
-        .split_ascii_whitespace()
-        .collect();
-    if tokens.len() != 8 {
-        return Err(corrupt(index, "expected 8 option fields"));
-    }
-    let bool_field = |raw: &str| match raw {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        other => Err(corrupt(index, format!("bad flag: `{other}`"))),
+/// The request-frame `opts` body: every [`PrepareOptions`] field, raw-bit.
+/// Unlike the snapshot's `OptionsKey` (which stores the *effective*
+/// `keep_zero_subtrees`), this is the request **as given** — the wire must
+/// reproduce the submitted request exactly, and the receiving engine
+/// re-derives every effective value itself.
+fn write_options(w: &mut Writer, options: &PrepareOptions) {
+    w.str(" fth=");
+    match options.fidelity_threshold {
+        Some(f) => w.hex(f.to_bits()),
+        None => w.str("none"),
     };
-    let fth = field(tokens[0], "fth", index)?;
-    let fidelity_threshold = if fth == "none" {
+    let synthesis = &options.synthesis;
+    w.str(" tol=").hex(options.tolerance.value().to_bits());
+    w.str(match synthesis.product_rule {
+        ProductRule::Off => " pr=0",
+        ProductRule::SharedChild => " pr=1",
+        ProductRule::SharedChildOrSingle => " pr=2",
+    });
+    w.str(" skip=").u64(synthesis.skip_identities.into());
+    w.str(match synthesis.direction {
+        Direction::Prepare => " dir=0",
+        Direction::Disentangle => " dir=1",
+    });
+    w.str(" red=").u64(options.reduce.into());
+    w.str(" kzs=").u64(options.keep_zero_subtrees.into());
+    w.str(" ver=");
+    match options.verification {
+        VerificationPolicy::Off => w.str("none"),
+        VerificationPolicy::Replay { min_fidelity } => w.hex(min_fidelity.to_bits()),
+    };
+}
+
+fn read_options(c: &mut Cursor) -> Result<PrepareOptions, TextError> {
+    let mut options = PrepareOptions::exact();
+    options.fidelity_threshold = if c.line("opts")?.expect(" fth=")?.eat("none") {
         None
     } else {
-        Some(f64::from_bits(parse_hex(fth, index, "fidelity threshold")?))
+        Some(f64::from_bits(c.hex("fidelity threshold")?))
     };
     // `Tolerance::new` panics outside its invariant; a frame carrying such
     // bits is corrupt, not a crash.
-    let tol = f64::from_bits(parse_hex(
-        field(tokens[1], "tol", index)?,
-        index,
-        "tolerance",
-    )?);
+    let tol = f64::from_bits(c.expect(" tol=")?.hex("tolerance")?);
     if !(tol.is_finite() && tol >= 0.0) {
-        return Err(corrupt(
-            index,
-            format!("tolerance must be finite and non-negative, got bits of {tol}"),
-        ));
+        return Err(c.corrupt(format!(
+            "tolerance must be finite and non-negative, got bits of {tol}"
+        )));
     }
-    let product_rule = match field(tokens[2], "pr", index)? {
+    options.tolerance = Tolerance::new(tol);
+    options.synthesis.product_rule = match c.expect(" pr=")?.word() {
         "0" => ProductRule::Off,
         "1" => ProductRule::SharedChild,
         "2" => ProductRule::SharedChildOrSingle,
-        other => return Err(corrupt(index, format!("bad product rule: `{other}`"))),
+        other => return Err(c.corrupt(format!("bad product rule: `{other}`"))),
     };
-    let skip_identities = bool_field(field(tokens[3], "skip", index)?)?;
-    let direction = match field(tokens[4], "dir", index)? {
-        "0" => Direction::Prepare,
-        "1" => Direction::Disentangle,
-        other => return Err(corrupt(index, format!("bad direction: `{other}`"))),
+    options.synthesis.skip_identities = c.expect(" skip=")?.flag("skip")?;
+    options.synthesis.direction = if c.expect(" dir=")?.flag("direction")? {
+        Direction::Disentangle
+    } else {
+        Direction::Prepare
     };
-    let reduce = bool_field(field(tokens[5], "red", index)?)?;
-    let keep_zero_subtrees = bool_field(field(tokens[6], "kzs", index)?)?;
-    let ver = field(tokens[7], "ver", index)?;
-    let verification = if ver == "none" {
+    options.reduce = c.expect(" red=")?.flag("red")?;
+    options.keep_zero_subtrees = c.expect(" kzs=")?.flag("kzs")?;
+    options.verification = if c.expect(" ver=")?.eat("none") {
         VerificationPolicy::Off
     } else {
         VerificationPolicy::Replay {
-            min_fidelity: f64::from_bits(parse_hex(ver, index, "verification floor")?),
+            min_fidelity: f64::from_bits(c.hex("verification floor")?),
         }
     };
-
-    let mut options = PrepareOptions::exact();
-    options.fidelity_threshold = fidelity_threshold;
-    options.tolerance = Tolerance::new(tol);
-    options.synthesis.product_rule = product_rule;
-    options.synthesis.skip_identities = skip_identities;
-    options.synthesis.direction = direction;
-    options.reduce = reduce;
-    options.keep_zero_subtrees = keep_zero_subtrees;
-    options.verification = verification;
+    c.end_line()?;
     Ok(options)
 }
 
-fn parse_report(lines: &[&str]) -> Result<ReportFrame, WireError> {
-    let from = field(tagged(lines, 1, "report")?, "from", 1)?;
-    let from_cache = match from {
+/// The report frame, its circuit written in place.
+fn write_report(w: &mut Writer, frame: &ReportFrame) -> Result<(), WireError> {
+    let report = &frame.report;
+    w.str(if report.from_cache {
+        "report from=cache\ndims"
+    } else {
+        "report from=fresh\ndims"
+    });
+    w.usizes(frame.dims.as_slice()).str("\ncircuit ");
+    w.circuit_line(&report.circuit)?.str("\nsynth");
+    write_report_body(w, &report.report);
+    w.str("\nverify");
+    write_verification(w, report.verification.as_ref());
+    w.str("\ntiming elapsed=").duration(report.elapsed);
+    w.str(" queue=").duration(report.queue_wait);
+    w.str(" admission=").duration(report.admission_wait).str("\n");
+    Ok(())
+}
+
+fn read_report(c: &mut Cursor) -> Result<ReportFrame, TextError> {
+    let from_cache = match c.line("report")?.expect(" from=")?.word() {
         "fresh" => false,
         "cache" => true,
-        other => return Err(corrupt(1, format!("bad report origin: `{other}`"))),
+        other => return Err(c.corrupt(format!("bad report origin: `{other}`"))),
     };
-    let dims = parse_dims(lines, 2)?;
-    let circuit = serialize::from_line(dims.clone(), tagged(lines, 3, "circuit")?)
-        .map_err(|e| corrupt(3, format!("bad circuit: {e}")))?;
-    let report =
-        parse_report_body(tagged(lines, 4, "synth")?).map_err(|message| corrupt(4, message))?;
-    let verification = parse_verification_body(tagged(lines, 5, "verify")?)
-        .map_err(|message| corrupt(5, message))?;
-    let tokens: Vec<&str> = tagged(lines, 6, "timing")?
-        .split_ascii_whitespace()
-        .collect();
-    if tokens.len() != 3 {
-        return Err(corrupt(6, "expected 3 timing fields"));
-    }
-    let timing = |token: &str, key: &str| -> Result<std::time::Duration, WireError> {
-        let raw = field(token, key, 6)?;
-        parse_duration_opt(raw).ok_or_else(|| corrupt(6, format!("bad {key}: `{raw}`")))
-    };
+    c.end_line()?;
+    let dims = read_dims(c)?;
+    c.line("circuit")?.eat(" ");
+    let circuit = c
+        .circuit_line(dims.clone())
+        .map_err(|e| c.corrupt(format!("bad circuit: {e}")))?;
+    c.end_line()?;
+    let report = read_report_body(c.line("synth")?)?;
+    let verification = read_verification(c.line("verify")?)?;
+    let elapsed = c.line("timing")?.expect(" elapsed=")?.duration("elapsed")?;
+    let queue_wait = c.expect(" queue=")?.duration("queue")?;
+    let admission_wait = c.expect(" admission=")?.duration("admission")?;
+    c.end_line()?;
     Ok(ReportFrame {
         dims,
         report: PrepareReport {
@@ -709,72 +593,94 @@ fn parse_report(lines: &[&str]) -> Result<ReportFrame, WireError> {
             report,
             verification,
             from_cache,
-            elapsed: timing(tokens[0], "elapsed")?,
-            queue_wait: timing(tokens[1], "queue")?,
-            admission_wait: timing(tokens[2], "admission")?,
+            elapsed,
+            queue_wait,
+            admission_wait,
         },
     })
 }
 
-fn parse_error(lines: &[&str]) -> Result<ErrorFrame, WireError> {
-    let body = tagged(lines, 1, "error")?;
-    let (kind, rest) = match body.split_once(' ') {
-        Some((kind, rest)) => (kind, rest),
-        None => (body, ""),
+fn write_error(w: &mut Writer, frame: &ErrorFrame) {
+    match frame {
+        ErrorFrame::Prepare { message } => write_message(w.str("error prepare "), message),
+        ErrorFrame::Shutdown => w.str("error shutdown"),
+        ErrorFrame::QueueClosed => w.str("error queue-closed"),
+        ErrorFrame::QueueFull { depth, limit } => w
+            .str("error queue-full depth=")
+            .usize(*depth)
+            .str(" limit=")
+            .usize(*limit),
+        ErrorFrame::VerificationFailed {
+            fidelity,
+            threshold,
+        } => w
+            .str("error verification-failed fid=")
+            .hex(*fidelity)
+            .str(" min=")
+            .hex(*threshold),
+        ErrorFrame::TenantOverQuota {
+            tenant,
+            in_flight,
+            limit,
+        } => w
+            .str("error tenant-over-quota tenant=")
+            .u64(*tenant)
+            .str(" in-flight=")
+            .usize(*in_flight)
+            .str(" limit=")
+            .usize(*limit),
+        ErrorFrame::NoShards => w.str("error no-shards"),
+        ErrorFrame::BadFrame { message } => write_message(w.str("error bad-frame "), message),
     };
-    let fields = |expected: usize| -> Result<Vec<&str>, WireError> {
-        let tokens: Vec<&str> = rest.split_ascii_whitespace().collect();
-        if tokens.len() != expected {
-            return Err(corrupt(1, format!("expected {expected} error fields")));
+    w.str("\n");
+}
+
+/// A free-text message with every `\n` and `\r` written as a space.
+fn write_message<'w>(w: &'w mut Writer, message: &str) -> &'w mut Writer {
+    for (i, part) in message.split(['\n', '\r']).enumerate() {
+        if i > 0 {
+            w.str(" ");
         }
-        Ok(tokens)
-    };
-    match kind {
-        "prepare" => Ok(ErrorFrame::Prepare {
-            message: rest.to_owned(),
-        }),
-        "shutdown" => {
-            fields(0)?;
-            Ok(ErrorFrame::Shutdown)
-        }
-        "queue-closed" => {
-            fields(0)?;
-            Ok(ErrorFrame::QueueClosed)
-        }
-        "queue-full" => {
-            let tokens = fields(2)?;
-            Ok(ErrorFrame::QueueFull {
-                depth: parse_usize(field(tokens[0], "depth", 1)?, 1, "depth")?,
-                limit: parse_usize(field(tokens[1], "limit", 1)?, 1, "limit")?,
-            })
-        }
-        "verification-failed" => {
-            let tokens = fields(2)?;
-            Ok(ErrorFrame::VerificationFailed {
-                fidelity: parse_hex(field(tokens[0], "fid", 1)?, 1, "fidelity")?,
-                threshold: parse_hex(field(tokens[1], "min", 1)?, 1, "floor")?,
-            })
-        }
-        "tenant-over-quota" => {
-            let tokens = fields(3)?;
-            let tenant_raw = field(tokens[0], "tenant", 1)?;
-            Ok(ErrorFrame::TenantOverQuota {
-                tenant: tenant_raw
-                    .parse()
-                    .map_err(|_| corrupt(1, format!("bad tenant: `{tenant_raw}`")))?,
-                in_flight: parse_usize(field(tokens[1], "in-flight", 1)?, 1, "in-flight count")?,
-                limit: parse_usize(field(tokens[2], "limit", 1)?, 1, "limit")?,
-            })
-        }
-        "no-shards" => {
-            fields(0)?;
-            Ok(ErrorFrame::NoShards)
-        }
-        "bad-frame" => Ok(ErrorFrame::BadFrame {
-            message: rest.to_owned(),
-        }),
-        other => Err(corrupt(1, format!("unknown error kind: `{other}`"))),
+        w.str(part);
     }
+    w
+}
+
+fn read_error(c: &mut Cursor) -> Result<ErrorFrame, TextError> {
+    let kind = if c.line("error")?.eat(" ") {
+        c.word()
+    } else {
+        ""
+    };
+    let frame = match kind {
+        "prepare" | "bad-frame" => {
+            let message = if c.eat(" ") { c.rest_of_line() } else { "" }.to_owned();
+            if kind == "prepare" {
+                ErrorFrame::Prepare { message }
+            } else {
+                ErrorFrame::BadFrame { message }
+            }
+        }
+        "shutdown" => ErrorFrame::Shutdown,
+        "queue-closed" => ErrorFrame::QueueClosed,
+        "queue-full" => ErrorFrame::QueueFull {
+            depth: c.expect(" depth=")?.uint("depth")?,
+            limit: c.expect(" limit=")?.uint("limit")?,
+        },
+        "verification-failed" => ErrorFrame::VerificationFailed {
+            fidelity: c.expect(" fid=")?.hex("fidelity")?,
+            threshold: c.expect(" min=")?.hex("floor")?,
+        },
+        "tenant-over-quota" => ErrorFrame::TenantOverQuota {
+            tenant: c.expect(" tenant=")?.uint("tenant")?,
+            in_flight: c.expect(" in-flight=")?.uint("in-flight count")?,
+            limit: c.expect(" limit=")?.uint("limit")?,
+        },
+        "no-shards" => ErrorFrame::NoShards,
+        other => return Err(c.corrupt(format!("unknown error kind: `{other}`"))),
+    };
+    c.end_line()?;
+    Ok(frame)
 }
 
 #[cfg(test)]
@@ -1183,14 +1089,17 @@ mod tests {
             ),
         });
         let text = frame.to_text().unwrap();
-        let tol_hex = hex(Tolerance::DEFAULT.value().to_bits());
+        let tol_hex = serialize::bits_to_hex(Tolerance::DEFAULT.value().to_bits());
         for hostile in [
             f64::NAN.to_bits(),
             (-1.0_f64).to_bits(),
             f64::INFINITY.to_bits(),
         ] {
             let tampered =
-                text.replace(&format!("tol={tol_hex}"), &format!("tol={}", hex(hostile)));
+                text.replace(
+                &format!("tol={tol_hex}"),
+                &format!("tol={}", serialize::bits_to_hex(hostile)),
+            );
             assert_ne!(tampered, text, "fixture replaced the tolerance");
             assert!(matches!(
                 Frame::parse(&tampered),
