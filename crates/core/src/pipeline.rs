@@ -94,7 +94,11 @@ pub enum VerificationPolicy {
     #[default]
     Off,
     /// Replay the circuit on the ground-state diagram and require at least
-    /// this fidelity against the requested target state.
+    /// this fidelity against the requested target state. Serving compares
+    /// the measured fidelity against `min(min_fidelity, 1 − tolerance)`,
+    /// with the request's own [`PrepareOptions::tolerance`]: exact circuits
+    /// replay a rounding error below 1, so a floor of 1 means "exact up to
+    /// the tolerance".
     Replay {
         /// Minimum acceptable fidelity, in `(0, 1]`.
         min_fidelity: f64,
@@ -225,6 +229,8 @@ impl PrepareOptions {
     /// floor must lie in `(0, 1]`. Exposed so admission layers (the
     /// engine's submit path) can reject invalid options *before* queueing
     /// a job, with the identical error the worker would have produced.
+    /// A verification floor above `1 − tolerance` is valid and is held to
+    /// `1 − tolerance` when served (see [`VerificationPolicy::Replay`]).
     ///
     /// # Errors
     ///

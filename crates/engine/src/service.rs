@@ -21,7 +21,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use mdq_core::{PrepareError, Preparer, VerificationReport};
+use mdq_core::{PrepareError, PrepareOptions, Preparer, VerificationReport};
 
 use crate::cache::{canonical_key, CachedPreparation, CircuitCache};
 use crate::engine::{EngineConfig, EngineStats};
@@ -243,18 +243,23 @@ impl ServiceShared {
     /// Threshold gate shared by the fresh and cached serving paths: `Ok`
     /// when the request demands no verification or the measured fidelity
     /// clears the floor, [`EngineError::VerificationFailed`] otherwise.
+    ///
+    /// The floor is capped at `1 − tolerance`, with the request's own
+    /// tolerance: exact circuits replay a rounding error below 1, so a
+    /// floor of exactly 1 would otherwise refuse correct circuits. Floors
+    /// below the cap are compared as given.
     fn check_verification(
         &self,
-        min_fidelity: Option<f64>,
+        options: &PrepareOptions,
         verification: Option<&VerificationReport>,
     ) -> Result<(), EngineError> {
-        let Some(threshold) = min_fidelity else {
+        let Some(threshold) = options.verification.min_fidelity() else {
             return Ok(());
         };
         let measured = verification
             .expect("verification demanded, so a report was measured or served")
             .fidelity;
-        if measured < threshold {
+        if measured < threshold.min(1.0 - options.tolerance.value()) {
             self.verification_failures.fetch_add(1, Ordering::Relaxed);
             return Err(EngineError::VerificationFailed {
                 fidelity: measured,
@@ -273,7 +278,7 @@ impl ServiceShared {
         preparer: &mut Preparer,
         request: &PrepareRequest,
     ) -> Result<PrepareReport, EngineError> {
-        let min_fidelity = request.options.verification.min_fidelity();
+        let verified = request.options.verification.is_enabled();
         let key = if self.config.use_cache {
             canonical_key(request)
         } else {
@@ -284,8 +289,8 @@ impl ServiceShared {
             // entry: `get` skips entries without a verification report
             // when one is demanded (counted as a miss), so the pipeline
             // re-runs below and upgrades the entry.
-            if let Some(cached) = self.cache.get(*fingerprint, key, min_fidelity.is_some()) {
-                self.check_verification(min_fidelity, cached.verification.as_ref())?;
+            if let Some(cached) = self.cache.get(*fingerprint, key, verified) {
+                self.check_verification(&request.options, cached.verification.as_ref())?;
                 self.jobs.fetch_add(1, Ordering::Relaxed);
                 return Ok(PrepareReport {
                     circuit: cached.circuit.clone(),
@@ -318,7 +323,7 @@ impl ServiceShared {
         if warm_start {
             self.arena_reuses.fetch_add(1, Ordering::Relaxed);
         }
-        let verification = if request.options.verification.is_enabled() {
+        let verification = if verified {
             let measured = match &request.payload {
                 StatePayload::Dense(amplitudes) => {
                     preparer.verify_dense(&result.circuit, amplitudes)
@@ -357,7 +362,7 @@ impl ServiceShared {
                 }),
             );
         }
-        self.check_verification(min_fidelity, verification.as_ref())?;
+        self.check_verification(&request.options, verification.as_ref())?;
         self.jobs.fetch_add(1, Ordering::Relaxed);
         Ok(PrepareReport {
             circuit,

@@ -204,9 +204,7 @@ pub(crate) fn write_verification(w: &mut Writer, v: Option<&VerificationReport>)
 }
 
 /// Reads [`write_verification`]'s body through the end of the line.
-pub(crate) fn read_verification(
-    c: &mut Cursor,
-) -> Result<Option<VerificationReport>, TextError> {
+pub(crate) fn read_verification(c: &mut Cursor) -> Result<Option<VerificationReport>, TextError> {
     let verification = if c.eat(" none") {
         None
     } else {
@@ -245,7 +243,9 @@ fn write_record(
     for &(idx, re, im) in &key.support {
         w.str(" ").u64(idx).str(":").hex(re).str(":").hex(im);
     }
-    w.str("\ncircuit ").circuit_line(&value.circuit)?.str("\nreport");
+    w.str("\ncircuit ")
+        .circuit_line(&value.circuit)?
+        .str("\nreport");
     write_report_body(w, &value.report);
     w.str("\nverify");
     write_verification(w, value.verification.as_ref());
@@ -256,9 +256,7 @@ fn write_record(
 /// A size estimate of one record, so that a snapshot is written into one
 /// allocation.
 fn record_capacity(key: &CanonicalKey, value: &CachedPreparation) -> usize {
-    512 + 21 * key.dims.len()
-        + 55 * key.support.len()
-        + serialize::line_capacity(&value.circuit)
+    512 + 21 * key.dims.len() + 55 * key.support.len() + serialize::line_capacity(&value.circuit)
 }
 
 /// Renders the full snapshot text for a set of cache entries,
@@ -766,6 +764,39 @@ mod tests {
                 }
                 (a, b) => panic!("verification differs: {a:?} vs {b:?}"),
             }
+        }
+    }
+
+    /// A declared entry count sizes nothing: a huge count runs out of
+    /// records and is refused typed, where it used to abort the process
+    /// on the allocation (or panic on capacity overflow).
+    #[test]
+    fn hostile_entry_counts_are_refused_typed() {
+        for count in ["99999999999999", "18446744073709551615"] {
+            let path = temp_path(&format!("hostile-{count}"));
+            std::fs::write(&path, format!("mdqsnap 1\nentries {count}\ndone\n")).unwrap();
+            let err = load_into(&CircuitCache::new(1), &path).expect_err("hostile count");
+            assert!(
+                matches!(err, SnapshotError::Corrupt { line: 3, .. }),
+                "{count}: {err:?}"
+            );
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
+    /// A rotation whose `lo` exceeds the register fails validation at
+    /// load, before any code could build its matrix.
+    #[test]
+    fn reversed_rotation_levels_are_corrupt() {
+        const GOLDEN: &str = include_str!("../../../tests/golden/snapshot_two_records.txt");
+        let tampered = GOLDEN.replacen("givens q1 lo10 hi11", "givens q1 lo13 hi11", 1);
+        assert_ne!(tampered, GOLDEN);
+        match parse_snapshot(&tampered) {
+            Err(SnapshotError::Corrupt { line, message }) => {
+                assert_eq!(line, 15, "the second record's circuit line");
+                assert!(message.contains("level 13"), "{message}");
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 

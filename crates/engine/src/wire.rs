@@ -274,9 +274,10 @@ impl Frame {
                 21 * request.dims.len()
                     + match &request.payload {
                         StatePayload::Dense(amplitudes) => 34 * amplitudes.len(),
-                        StatePayload::Sparse(entries) => {
-                            entries.iter().map(|(digits, _)| 35 + 3 * digits.len()).sum()
-                        }
+                        StatePayload::Sparse(entries) => entries
+                            .iter()
+                            .map(|(digits, _)| 35 + 3 * digits.len())
+                            .sum(),
                     }
             }
             Frame::Report(frame) => {
@@ -563,7 +564,9 @@ fn write_report(w: &mut Writer, frame: &ReportFrame) -> Result<(), WireError> {
     write_verification(w, report.verification.as_ref());
     w.str("\ntiming elapsed=").duration(report.elapsed);
     w.str(" queue=").duration(report.queue_wait);
-    w.str(" admission=").duration(report.admission_wait).str("\n");
+    w.str(" admission=")
+        .duration(report.admission_wait)
+        .str("\n");
     Ok(())
 }
 
@@ -1095,8 +1098,7 @@ mod tests {
             (-1.0_f64).to_bits(),
             f64::INFINITY.to_bits(),
         ] {
-            let tampered =
-                text.replace(
+            let tampered = text.replace(
                 &format!("tol={tol_hex}"),
                 &format!("tol={}", serialize::bits_to_hex(hostile)),
             );
@@ -1106,6 +1108,44 @@ mod tests {
                 Err(WireError::Corrupt { .. })
             ));
         }
+    }
+
+    /// A rotation whose `lo` exceeds its qudit's dimension fails
+    /// validation while the frame is parsed, so no later `Gate::matrix`
+    /// can index out of range.
+    #[test]
+    fn reversed_rotation_levels_are_corrupt() {
+        use mdq_circuit::{Circuit, Gate, Instruction};
+        let d = dims(&[3]);
+        let mut circuit = Circuit::new(d.clone());
+        circuit
+            .push(Instruction::local(0, Gate::givens(0, 1, 1.0, 0.0)))
+            .unwrap();
+        let prepared = mdq_core::prepare(
+            &d,
+            &[Complex::ONE, Complex::ZERO, Complex::ZERO],
+            PrepareOptions::exact(),
+        )
+        .unwrap();
+        let frame = Frame::Report(ReportFrame {
+            dims: d,
+            report: PrepareReport {
+                circuit,
+                report: prepared.report,
+                verification: None,
+                from_cache: false,
+                elapsed: std::time::Duration::ZERO,
+                queue_wait: std::time::Duration::ZERO,
+                admission_wait: std::time::Duration::ZERO,
+            },
+        });
+        let text = frame.to_text().unwrap();
+        let tampered = text.replacen("givens q0 lo0 hi1", "givens q0 lo5 hi1", 1);
+        assert_ne!(tampered, text);
+        assert!(matches!(
+            Frame::parse(&tampered),
+            Err(WireError::Corrupt { line: 4, .. })
+        ));
     }
 
     #[test]

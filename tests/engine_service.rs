@@ -284,3 +284,42 @@ fn priorities_and_queue_waits_are_observable() {
     );
     service.shutdown();
 }
+
+/// A verification floor of exactly 1 accepts correct exact circuits whose
+/// replay lands a rounding error below 1: serving holds the floor to
+/// `1 − tolerance`. The job passes fresh and then from the cache, since
+/// both paths share one threshold gate.
+#[test]
+fn unit_verification_floor_accepts_exact_replays_just_below_one() {
+    use mdq::core::VerificationPolicy;
+    use mdq::states::{random_state, RandomKind};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let dims = Dims::new(vec![3, 4, 3]).unwrap();
+    let options = PrepareOptions::exact().with_verification(VerificationPolicy::replay(1.0));
+    let service = EngineService::new(EngineConfig::default().with_workers(1));
+    let mut below_one = 0;
+    for seed in 0..16 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let state = random_state(&dims, RandomKind::ReImUniform, &mut rng);
+        let request = PrepareRequest::dense(dims.clone(), state, options);
+        let fresh = service
+            .submit(request.clone())
+            .wait()
+            .expect("an exact circuit verifies at a floor of 1");
+        assert!(!fresh.from_cache);
+        let fidelity = fresh.verification.as_ref().unwrap().fidelity;
+        assert!((fidelity - 1.0).abs() < 1e-9, "seed {seed}: {fidelity}");
+        let cached = service
+            .submit(request)
+            .wait()
+            .expect("the cached entry passes the same gate");
+        assert!(cached.from_cache);
+        below_one += usize::from(fidelity < 1.0);
+    }
+    assert!(
+        below_one > 0,
+        "no replay landed below 1, so nothing was tested"
+    );
+}
