@@ -180,8 +180,16 @@ impl Circuit {
                 return Err(CircuitError::GateDimMismatch { gate_dim, dim });
             }
         }
-        let mut seen = vec![false; n];
-        seen[instruction.qudit] = true;
+        // One bit per operand qudit, with no allocation: `Dims::new` admits
+        // at most 63 qudits (each has dimension ≥ 2 and the space fits
+        // `usize`), and every index here is already checked against `n`.
+        let mut seen: u64 = 1 << instruction.qudit;
+        let mut seen_before = |qudit: usize| {
+            let bit = 1u64 << qudit;
+            let repeated = seen & bit != 0;
+            seen |= bit;
+            repeated
+        };
         for c in &instruction.controls {
             if c.qudit >= n {
                 return Err(CircuitError::ControlOutOfRange {
@@ -189,10 +197,9 @@ impl Circuit {
                     register: n,
                 });
             }
-            if seen[c.qudit] {
+            if seen_before(c.qudit) {
                 return Err(CircuitError::OverlappingOperands);
             }
-            seen[c.qudit] = true;
             let cdim = self.dims.dim(c.qudit);
             if c.level >= cdim {
                 return Err(CircuitError::ControlLevelOutOfRange {

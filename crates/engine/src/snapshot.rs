@@ -270,9 +270,9 @@ fn snapshot_text(entries: &[(u64, CanonicalKey, Arc<CachedPreparation>)]) -> (St
     let mut records = Writer::with_capacity(capacity);
     let mut spans = Vec::with_capacity(entries.len());
     for (_, key, value) in entries {
-        let start = records.len();
+        let start = records.as_str().len();
         match write_record(&mut records, key, value) {
-            Ok(()) => spans.push(start..records.len()),
+            Ok(()) => spans.push(start..records.as_str().len()),
             Err(_) => records.truncate(start),
         }
     }
