@@ -356,7 +356,7 @@ impl Writer {
     }
 
     /// Appends `value` in decimal, with a `-` when negative.
-    pub fn i64(&mut self, value: i64) -> &mut Self {
+    fn i64(&mut self, value: i64) -> &mut Self {
         if value < 0 {
             self.out.push('-');
         }
@@ -397,14 +397,9 @@ impl Writer {
     }
 
     /// Appends one instruction in the `mdqc` form (gate body, then the
-    /// control tail), with no line break. `index` names the instruction in
-    /// the error.
-    ///
-    /// # Errors
-    ///
-    /// [`SerializeError::UnsupportedGate`] for an explicit unitary; the
-    /// buffer may then hold part of the instruction.
-    pub fn instruction(
+    /// control tail), with no line break, or fails for an explicit unitary
+    /// (named by `index`) with part of the instruction written.
+    fn instruction(
         &mut self,
         instruction: &Instruction,
         index: usize,
@@ -540,9 +535,12 @@ const HEX_VALUES: [u8; 256] = {
 /// their written order, integers as plain decimal digits (no sign, no
 /// leading zero), raw bits as 16 hex digits of either case.
 ///
-/// Integers are read with checked arithmetic, so an overlong number is a
-/// typed error in every build profile. Error line numbers are counted
-/// only when an error is built.
+/// Every reader consumes what it reads. On a mismatch it returns
+/// [`TextError::Corrupt`] with the current line and, for values, the
+/// `what` it was given; [`Cursor::line`] returns [`TextError::Truncated`]
+/// at the end of the text. Integers are read with checked arithmetic, so
+/// an overlong number is a typed error in every build profile. Line
+/// numbers are counted only when an error is built.
 ///
 /// # Examples
 ///
@@ -603,11 +601,7 @@ impl<'a> Cursor<'a> {
         found
     }
 
-    /// Consumes `literal`, or fails.
-    ///
-    /// # Errors
-    ///
-    /// [`TextError::Corrupt`] when the unread text does not start with it.
+    /// Consumes `literal`, which must come next.
     #[inline]
     pub fn expect(&mut self, literal: &str) -> Result<&mut Self, TextError> {
         if self.eat(literal) {
@@ -645,11 +639,6 @@ impl<'a> Cursor<'a> {
 
     /// Opens the next line, which must start with `tag` followed by a
     /// space or the line's end; consumes the tag.
-    ///
-    /// # Errors
-    ///
-    /// [`TextError::Truncated`] at the end of the text,
-    /// [`TextError::Corrupt`] when the line carries another tag.
     pub fn line(&mut self, tag: &str) -> Result<&mut Self, TextError> {
         if self.is_at_end() {
             return Err(TextError::Truncated);
@@ -663,12 +652,8 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// Closes the current line: consumes its `\n`. The end of the text
-    /// also ends a line.
-    ///
-    /// # Errors
-    ///
-    /// [`TextError::Corrupt`] when anything else is left on the line.
+    /// Closes the current line: consumes its `\n`, which must come next.
+    /// The end of the text also ends a line.
     pub fn end_line(&mut self) -> Result<(), TextError> {
         if self.eat("\n") || self.is_at_end() {
             Ok(())
@@ -710,10 +695,6 @@ impl<'a> Cursor<'a> {
 
     /// Reads a canonical unsigned decimal: one or more digits, no sign,
     /// no leading zero, within `T`.
-    ///
-    /// # Errors
-    ///
-    /// [`TextError::Corrupt`] naming `what` otherwise.
     #[inline]
     pub fn uint<T: TryFrom<u64>>(&mut self, what: &str) -> Result<T, TextError> {
         let bytes = self.text.as_bytes();
@@ -751,10 +732,6 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads ` v` repeatedly: the tail of a `dims` line.
-    ///
-    /// # Errors
-    ///
-    /// [`TextError::Corrupt`] for a value that is not a canonical `usize`.
     pub fn uints(&mut self, what: &str) -> Result<Vec<usize>, TextError> {
         let mut values = Vec::new();
         while self.eat(" ") {
@@ -764,10 +741,6 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads exactly 16 hex digits of either case as raw bits.
-    ///
-    /// # Errors
-    ///
-    /// [`TextError::Corrupt`] naming `what` otherwise.
     #[inline]
     pub fn hex(&mut self, what: &str) -> Result<u64, TextError> {
         let Some(digits) = self.rest().get(..16) else {
@@ -791,20 +764,12 @@ impl<'a> Cursor<'a> {
 
     /// Reads one [`Cursor::word`] as an `f64`, in any spelling Rust's
     /// float parser accepts.
-    ///
-    /// # Errors
-    ///
-    /// [`TextError::Corrupt`] naming `what` otherwise.
     pub fn f64(&mut self, what: &str) -> Result<f64, TextError> {
         let word = self.word();
         word.parse().map_err(|_| self.bad(what))
     }
 
     /// Reads a `0`/`1` flag.
-    ///
-    /// # Errors
-    ///
-    /// [`TextError::Corrupt`] naming `what` for any other word.
     pub fn flag(&mut self, what: &str) -> Result<bool, TextError> {
         match self.word() {
             "0" => Ok(false),
@@ -814,51 +779,38 @@ impl<'a> Cursor<'a> {
     }
 
     /// Reads a `secs:nanos` duration, nanoseconds below one second.
-    ///
-    /// # Errors
-    ///
-    /// [`TextError::Corrupt`] naming `what` otherwise.
     pub fn duration(&mut self, what: &str) -> Result<Duration, TextError> {
         let secs = self.uint(what)?;
-        self.expect(":")?;
-        let nanos: u32 = self.uint(what)?;
+        let nanos: u32 = self.expect(":")?.uint(what)?;
         if nanos >= 1_000_000_000 {
             return Err(self.bad(what));
         }
         Ok(Duration::new(secs, nanos))
     }
 
-    /// Reads one instruction as [`Writer::instruction`] writes it.
+    /// Reads one instruction as `Writer::instruction` writes it.
     /// `controls` sizes the control list; synthesized circuits come in DFS
     /// order, so a neighbour's count is a close guess.
     fn instruction(&mut self, controls: usize) -> Result<Instruction, TextError> {
         let kind = self.word();
-        self.expect(" q")?;
-        let qudit = self.uint("qudit")?;
+        let qudit = self.expect(" q")?.uint("qudit")?;
         let gate = match kind {
             "givens" => {
                 let (lo, hi, theta) = self.rotation()?;
-                self.expect(" phi")?;
-                let phi = self.f64("phi")?;
+                let phi = self.expect(" phi")?.f64("phi")?;
                 Gate::Givens { lo, hi, theta, phi }
             }
             "zrot" => {
                 let (lo, hi, theta) = self.rotation()?;
                 Gate::ZRotation { lo, hi, theta }
             }
-            "phase" => {
-                self.expect(" level")?;
-                let level = self.uint("level")?;
-                self.expect(" angle")?;
-                let angle = self.f64("angle")?;
-                Gate::PhaseLevel { level, angle }
-            }
-            "shift" => {
-                self.expect(" amount")?;
-                Gate::Shift {
-                    amount: self.int("amount")?,
-                }
-            }
+            "phase" => Gate::PhaseLevel {
+                level: self.expect(" level")?.uint("level")?,
+                angle: self.expect(" angle")?.f64("angle")?,
+            },
+            "shift" => Gate::Shift {
+                amount: self.expect(" amount")?.int("amount")?,
+            },
             "fourier" => Gate::Fourier { inverse: false },
             "fourier-" => Gate::Fourier { inverse: true },
             other => return Err(self.corrupt(format!("unknown gate `{other}`"))),
@@ -867,10 +819,11 @@ impl<'a> Cursor<'a> {
         if self.eat(" ctrl") {
             list.reserve(controls.max(1));
             loop {
-                self.expect(" ")?;
-                let qudit = self.uint("control qudit")?;
-                self.expect("@")?;
-                list.push(Control::new(qudit, self.uint("control level")?));
+                let qudit = self.expect(" ")?.uint("control qudit")?;
+                list.push(Control::new(
+                    qudit,
+                    self.expect("@")?.uint("control level")?,
+                ));
                 if !matches!(self.rest(), [b' ', b'0'..=b'9', ..]) {
                     break;
                 }
@@ -881,12 +834,11 @@ impl<'a> Cursor<'a> {
 
     /// The ` lo… hi… theta…` fields shared by Givens and Z rotations.
     fn rotation(&mut self) -> Result<(usize, usize, f64), TextError> {
-        self.expect(" lo")?;
-        let lo = self.uint("lo")?;
-        self.expect(" hi")?;
-        let hi = self.uint("hi")?;
-        self.expect(" theta")?;
-        Ok((lo, hi, self.f64("theta")?))
+        Ok((
+            self.expect(" lo")?.uint("lo")?,
+            self.expect(" hi")?.uint("hi")?,
+            self.expect(" theta")?.f64("theta")?,
+        ))
     }
 
     /// Reads a [`to_line`] circuit body up to the end of the current line

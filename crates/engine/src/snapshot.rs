@@ -21,7 +21,15 @@
 //! A snapshot can therefore never make the cache serve a wrong answer: a
 //! loaded entry is only reachable by a request whose canonical key matches
 //! bit for bit, exactly as if the entry had been computed in-process, and
-//! replay verification remains the oracle for verified serving.
+//! replay verification remains the oracle for verified serving. Nothing is
+//! sized from the file's declared entry count, so a hostile count is a
+//! typed error, not an allocation failure.
+//!
+//! Records are written with the workspace's one text
+//! [`Writer`] and read with its one byte
+//! [`Cursor`], the pair the `mdqwire` frames and the
+//! `mdqc` circuit forms share; the `report` and `verify` bodies are the
+//! same functions on both formats.
 //!
 //! ## Format
 //!

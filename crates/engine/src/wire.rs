@@ -18,7 +18,15 @@
 //!   "bit-identical to [`prepare_sequential`]" guarantee.
 //! - **Typed failures, never panics.** A truncated or corrupt frame parses
 //!   to a [`WireError`] naming the offending line; nothing in this module
-//!   panics on untrusted input (pinned by the `wire_roundtrip` proptests).
+//!   panics on untrusted input (pinned by the `wire_proptest` proptests).
+//!
+//! Frames are written with the workspace's one text
+//! [`Writer`], into one buffer sized up front (a
+//! report's circuit is written in place), and read with its one byte
+//! [`Cursor`] in a single pass — the same pair the
+//! snapshot records and the `mdqc` circuit forms use. This module keeps
+//! only the frame grammar; it has no line, field, hex or decimal parser
+//! of its own.
 //!
 //! ## Format
 //!
