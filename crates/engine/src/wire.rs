@@ -384,11 +384,13 @@ fn write_request(w: &mut Writer, frame: &RequestFrame) {
         None => w.str("none"),
     };
     w.str(match request.priority {
-        Priority::Low => " priority=low\ndims",
-        Priority::Normal => " priority=normal\ndims",
-        Priority::High => " priority=high\ndims",
+        Priority::Low => " priority=low",
+        Priority::Normal => " priority=normal",
+        Priority::High => " priority=high",
     });
-    w.usizes(request.dims.as_slice()).str("\nopts");
+    w.str("\ndims")
+        .usizes(request.dims.as_slice())
+        .str("\nopts");
     write_options(w, &request.options);
     match &request.payload {
         StatePayload::Dense(amplitudes) => {
@@ -561,11 +563,13 @@ fn read_options(c: &mut Cursor) -> Result<PrepareOptions, TextError> {
 fn write_report(w: &mut Writer, frame: &ReportFrame) -> Result<(), WireError> {
     let report = &frame.report;
     w.str(if report.from_cache {
-        "report from=cache\ndims"
+        "report from=cache"
     } else {
-        "report from=fresh\ndims"
+        "report from=fresh"
     });
-    w.usizes(frame.dims.as_slice()).str("\ncircuit ");
+    w.str("\ndims")
+        .usizes(frame.dims.as_slice())
+        .str("\ncircuit ");
     w.circuit_line(&report.circuit)?.str("\nsynth");
     write_report_body(w, &report.report);
     w.str("\nverify");
