@@ -286,8 +286,8 @@ pub fn line_capacity(circuit: &Circuit) -> usize {
 /// snapshot records. Everything is appended to one `String`.
 ///
 /// Integers and 16-digit raw-bit hex are written digit by digit; no value
-/// gets a `String` of its own. Angles go through Rust's shortest
-/// round-trip float formatting ([`Writer::f64`]), which parses back to the
+/// gets a `String` of its own. Circuit angles go through Rust's shortest
+/// round-trip float formatting, which parses back to the
 /// **bit-identical** `f64` for every finite value (including `-0.0` and
 /// subnormals).
 ///
@@ -297,8 +297,8 @@ pub fn line_capacity(circuit: &Circuit) -> usize {
 /// use mdq_circuit::serialize::Writer;
 ///
 /// let mut w = Writer::default();
-/// w.str("x=").usize(42).str(" h=").hex(255).str(" a=").f64(-0.5);
-/// assert_eq!(w.as_str(), "x=42 h=00000000000000ff a=-0.5");
+/// w.str("x=").usize(42).str(" h=").hex(255);
+/// assert_eq!(w.as_str(), "x=42 h=00000000000000ff");
 /// ```
 #[derive(Debug, Default)]
 pub struct Writer {
@@ -382,7 +382,7 @@ impl Writer {
     }
 
     /// Appends `value` in Rust's shortest round-trip form (`Display`).
-    pub fn f64(&mut self, value: f64) -> &mut Self {
+    fn f64(&mut self, value: f64) -> &mut Self {
         use std::fmt::Write as _;
         // Writing into a `String` cannot fail.
         let _ = write!(self.out, "{value}");
@@ -764,7 +764,7 @@ impl<'a> Cursor<'a> {
 
     /// Reads one [`Cursor::word`] as an `f64`, in any spelling Rust's
     /// float parser accepts.
-    pub fn f64(&mut self, what: &str) -> Result<f64, TextError> {
+    fn f64(&mut self, what: &str) -> Result<f64, TextError> {
         let word = self.word();
         word.parse().map_err(|_| self.bad(what))
     }

@@ -776,8 +776,7 @@ mod tests {
     }
 
     /// A declared entry count sizes nothing: a huge count runs out of
-    /// records and is refused typed, where it used to abort the process
-    /// on the allocation (or panic on capacity overflow).
+    /// records and is refused typed, never an allocation failure.
     #[test]
     fn hostile_entry_counts_are_refused_typed() {
         for count in ["99999999999999", "18446744073709551615"] {

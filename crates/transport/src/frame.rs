@@ -23,7 +23,7 @@
 
 use std::io::{self, Read, Write};
 
-use mdq_circuit::serialize;
+use mdq_circuit::serialize::{self, Cursor};
 use mdq_engine::wire::Frame;
 
 use crate::error::TransportError;
@@ -242,16 +242,12 @@ impl FrameReader {
     }
 }
 
-/// Canonical decimal length: digits only, no leading zero (except `0`
-/// itself, which no real envelope carries — the smallest frame is longer).
+/// Canonical decimal length, read by the shared text [`Cursor`]: digits
+/// only, no leading zero (except `0` itself, which no real envelope
+/// carries — the smallest frame is longer).
 fn parse_length(token: &str) -> Option<usize> {
-    if token.is_empty() || !token.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    if token.len() > 1 && token.starts_with('0') {
-        return None;
-    }
-    token.parse().ok()
+    let mut cursor = Cursor::new(token);
+    cursor.uint("length").ok().filter(|_| cursor.is_at_end())
 }
 
 /// Exactly 16 *lowercase* hex digits, the same raw-bit form `mdqwire`
