@@ -79,6 +79,7 @@
 //! * `--out PATH`  — output path (default `BENCH_engine.json`).
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mdq_bench::{dims3, dims4, flag_value};
@@ -307,7 +308,7 @@ fn main() {
         );
         let mut snap_identical = true;
         for (request, report) in requests.iter().zip(&reports) {
-            snap_identical &= report.circuit
+            snap_identical &= *report.circuit
                 == request
                     .prepare_sequential()
                     .expect("sequential reference runs")
@@ -888,7 +889,7 @@ fn run_transport(smoke: bool, requests: &[PrepareRequest]) -> String {
     // the envelope/serialize/socket cost rather than pipelining effects.
     let router = make_router();
     let tenant = TenantId(0);
-    let run_inproc = || -> (Vec<Circuit>, f64, f64, f64) {
+    let run_inproc = || -> (Vec<Arc<Circuit>>, f64, f64, f64) {
         let mut circuits = Vec::with_capacity(requests.len());
         let mut latencies = Vec::with_capacity(requests.len());
         let t = Instant::now();
@@ -933,7 +934,7 @@ fn run_transport(smoke: bool, requests: &[PrepareRequest]) -> String {
     .expect("local socket binds");
     let mut client = WireClient::connect(server.local_addr().clone(), ClientConfig::new())
         .expect("local client connects");
-    let mut run_socket = || -> (Vec<Circuit>, f64, f64, f64) {
+    let mut run_socket = || -> (Vec<Arc<Circuit>>, f64, f64, f64) {
         let mut circuits = Vec::with_capacity(requests.len());
         let mut latencies = Vec::with_capacity(requests.len());
         let t = Instant::now();

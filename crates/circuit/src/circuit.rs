@@ -124,6 +124,17 @@ impl Circuit {
         }
     }
 
+    /// An empty circuit with room for `capacity` instructions: pushing
+    /// that many never reallocates, and the finished circuit holds no
+    /// spare capacity.
+    #[must_use]
+    pub fn with_capacity(dims: Dims, capacity: usize) -> Self {
+        Circuit {
+            dims,
+            instructions: Vec::with_capacity(capacity),
+        }
+    }
+
     /// The register layout.
     #[must_use]
     pub fn dims(&self) -> &Dims {

@@ -87,7 +87,9 @@ pub fn synthesize(dd: &StateDd, opts: SynthesisOptions) -> Circuit {
         emit_node(dd, root, &mut path, opts, tol, &mut disentangler);
     }
 
-    let mut circuit = Circuit::new(dd.dims().clone());
+    // Sized exactly: a served circuit may live on in a cache, where spare
+    // capacity from growth by pushing would stay resident.
+    let mut circuit = Circuit::with_capacity(dd.dims().clone(), disentangler.len());
     match opts.direction {
         Direction::Disentangle => {
             for instr in disentangler {

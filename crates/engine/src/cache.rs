@@ -13,7 +13,8 @@
 //! would have produced for that exact request.
 //!
 //! The store is sharded: each shard is an independently locked hash map, so
-//! workers probing different fingerprints never contend on one lock.
+//! submitters probing and workers filling different fingerprints never
+//! contend on one lock.
 //!
 //! [`prepare`]: mdq_core::prepare
 
@@ -49,10 +50,11 @@ pub struct CacheStats {
 
 /// A cached preparation: the synthesized circuit, its metrics, and — when
 /// the entry was produced by a verified job — the replay-verification
-/// outcome, shared between the store and every report served from it.
+/// outcome. The circuit is one allocation shared between the store, the
+/// report of the job that computed it, and every report served from it.
 #[derive(Debug)]
 pub(crate) struct CachedPreparation {
-    pub(crate) circuit: Circuit,
+    pub(crate) circuit: Arc<Circuit>,
     pub(crate) report: SynthesisReport,
     /// `Some` iff the entry's circuit was replay-verified when it was
     /// computed. Requests that demand verification are only ever served
@@ -620,13 +622,13 @@ mod tests {
             fp,
             key.clone(),
             Arc::new(CachedPreparation {
-                circuit: prepared.circuit.clone(),
+                circuit: Arc::new(prepared.circuit.clone()),
                 report: prepared.report.clone(),
                 verification: None,
             }),
         );
         let served = cache.get(fp, &key, false).expect("entry stored");
-        assert_eq!(served.circuit, prepared.circuit);
+        assert_eq!(*served.circuit, prepared.circuit);
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
@@ -655,7 +657,7 @@ mod tests {
             fp,
             key,
             Arc::new(CachedPreparation {
-                circuit: prepared.circuit.clone(),
+                circuit: Arc::new(prepared.circuit.clone()),
                 report: prepared.report.clone(),
                 verification: None,
             }),

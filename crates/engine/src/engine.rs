@@ -154,7 +154,8 @@ impl EngineConfig {
 /// Aggregate counters of a service/engine, cumulative since construction.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Successfully served jobs (computed or cached).
+    /// Successfully served jobs: computed by a worker, or answered from
+    /// the cache at admission.
     pub jobs: u64,
     /// Jobs that returned a [`PrepareError`](mdq_core::PrepareError).
     pub failures: u64,

@@ -9,14 +9,17 @@
 //! behind a non-blocking submission front-end:
 //!
 //! ```text
-//!                   ┌───────────────────────── EngineService ─────────────────────────┐
-//!  submit(req) ───▶ │ scheduler ─▶ worker 0 ─ Preparer { DdArena ♻, ComputeCache ♻ }  │
-//!   ─▶ JobHandle    │ (priority/ ─▶ worker 1 ─ Preparer { DdArena ♻, ComputeCache ♻ } │
-//!  submit(req) ───▶ │  size/FIFO)─▶ worker n ─ …                                      │
-//!   ─▶ JobHandle    │                    │ probe / fill                               │
-//!       …           │        CircuitCache (sharded, fingerprint-keyed, LRU-bounded)   │
-//!                   └──────────────────────────────────────────────────────────────────┘
-//!     handle.wait() / try_wait() / wait_timeout() ◀── per-job result channel
+//!  submit(req) / try_submit(req) ── admission, on the caller's thread
+//!   validate ─▶ canonical_key ─▶ probe CircuitCache ◀─── insert under the admission key ──────────┐
+//!                                  │  (sharded, fingerprint-keyed, LRU-bounded)                   │
+//!           hit: JobHandle ◀───────┤  resolved at once: circuit shared (Arc),                     │
+//!                                  │  no queue slot, no worker                                    │
+//!                                  ▼ miss: request + key                                          │
+//!  ── workers ──────────────── scheduler ─▶ worker 0 ─ Preparer { DdArena ♻, ComputeCache ♻ } ────┤
+//!                          (priority/size/ ─▶ worker n ─ …  pipeline ─▶ replay ─▶ ────────────────┘
+//!                           FIFO, bounded)        │
+//!           miss: JobHandle ◀── per-job result channel
+//!     handle.wait() / try_wait() / wait_timeout()
 //! ```
 //!
 //! * **Persistent worker pool** — [`EngineService::new`] spawns the pool
@@ -24,10 +27,11 @@
 //!   diagram arena and canonicalization/memo tables stay warm across *all*
 //!   submissions for the lifetime of the service (observable through
 //!   [`EngineStats::arena_reuses`]).
-//! * **Non-blocking submission** — [`EngineService::submit`] enqueues and
-//!   returns a [`JobHandle`] immediately; the handle resolves through a
-//!   per-job channel with blocking, polling, and timeout waits. No
-//!   external async runtime — std mpsc + condvar only.
+//! * **Non-blocking submission** — [`EngineService::submit`] returns a
+//!   [`JobHandle`] immediately: resolved already for a cache hit, or
+//!   resolving through a per-job channel for a queued miss, with
+//!   blocking, polling, and timeout waits. No external async runtime —
+//!   std mpsc + condvar only.
 //! * **Size-aware scheduling with wait-time aging** — the default
 //!   [`SchedulingPolicy::SizeAware`] orders by caller [`Priority`], then
 //!   by estimated job cost, so large Table-1 jobs stop head-of-line
@@ -37,10 +41,15 @@
 //!   sustained small-job flood ([`scheduler`] module docs); `Fifo` is the
 //!   baseline. Scheduling never changes results, only queue waits
 //!   ([`PrepareReport::queue_wait`]).
-//! * **Prepared-circuit cache** — requests are fingerprinted by a content
-//!   hash of the register, the tolerance-quantized target amplitudes, and
-//!   the pipeline options ([`cache`] module); identical requests are
-//!   served the stored circuit. Optionally bounded with per-shard LRU
+//! * **Prepared-circuit cache, probed at admission** — requests are
+//!   fingerprinted by a content hash of the register, the
+//!   tolerance-quantized target amplitudes, and the pipeline options
+//!   ([`cache`] module); identical requests are served the stored
+//!   circuit. Each job probes the cache once, on the submitting thread: a
+//!   hit is answered there, without a queue slot, a worker, or a copy of
+//!   the circuit ([`PrepareReport::circuit`] shares the entry's
+//!   allocation), and only misses are queued, with the key their worker
+//!   inserts under. Optionally bounded with per-shard LRU
 //!   eviction ([`EngineConfig::with_cache_capacity`]); entries are
 //!   content-addressed, so they never go stale and the size bound is the
 //!   only one.
@@ -57,9 +66,11 @@
 //!   [`EngineService::submit`] parks on a **ticketed waiter queue** —
 //!   freed slots go to parked submitters strictly in arrival order, and a
 //!   non-blocking flood is refused rather than allowed to steal an owed
-//!   slot. Shed load, the queue's high-watermark, parked submitters
-//!   ([`EngineStats::parked`]) and per-job admission waits
-//!   ([`PrepareReport::admission_wait`]) are all observable.
+//!   slot. Only misses take slots: a cache hit never parks and is never
+//!   refused [`EngineError::QueueFull`]. Shed load, the queue's
+//!   high-watermark, parked submitters ([`EngineStats::parked`]) and
+//!   per-job admission waits ([`PrepareReport::admission_wait`]) are all
+//!   observable.
 //! * **Verification mode** — [`PrepareRequest::with_verification`] makes
 //!   the worker replay the synthesized circuit by decision-diagram
 //!   simulation ([`Preparer::replay`](mdq_core::Preparer::replay)) and

@@ -1,5 +1,6 @@
 //! Request and report types of the engine service.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use mdq_circuit::Circuit;
@@ -160,10 +161,19 @@ impl PrepareRequest {
 /// the job was answered from the cache. A cached report carries the
 /// `time`/`total_time` durations of the run that originally computed it;
 /// [`PrepareReport::elapsed`] is always the serving time of *this* job.
+///
+/// A cache hit is answered at admission, on the submitting thread
+/// ([`EngineService::submit`](crate::EngineService::submit)): it never
+/// queues, so its `from_cache` is set, its `queue_wait` and
+/// `admission_wait` are zero, and its `elapsed` is the time admission
+/// spent answering it from the cache.
 #[derive(Debug, Clone)]
 pub struct PrepareReport {
-    /// The synthesized preparation circuit.
-    pub circuit: Circuit,
+    /// The synthesized preparation circuit, shared with the cache entry
+    /// it was served from or filled: a hit hands out the entry's
+    /// allocation, and a miss shares its fresh circuit with the entry it
+    /// inserts, so neither copies the circuit.
+    pub circuit: Arc<Circuit>,
     /// The pipeline metrics (the paper's Table-1 columns).
     pub report: SynthesisReport,
     /// The replay-verification outcome: `Some` when this serving carries a
@@ -173,19 +183,27 @@ pub struct PrepareReport {
     pub verification: Option<VerificationReport>,
     /// Whether the job was answered from the prepared-circuit cache.
     pub from_cache: bool,
-    /// Wall-clock time this job spent in its worker (cache lookup included).
+    /// Wall-clock time spent answering this job. On a miss, the time the
+    /// job spent in its worker: pipeline, replay verification and cache
+    /// fill. On a cache hit, the time admission spent answering it on the
+    /// submitting thread: the cache probe, the verification gate and the
+    /// report. Validating and keying the request come before the probe;
+    /// a miss's [`PrepareReport::queue_wait`] includes them, a hit's
+    /// timing fields do not.
     pub elapsed: Duration,
     /// Time between submission and a worker picking the job up — the
-    /// latency-under-load observable of the streaming service (zero when
-    /// the job was served synchronously, e.g. in unit helpers). Includes
-    /// [`PrepareReport::admission_wait`] when the submitter parked.
+    /// latency-under-load observable of the streaming service. Includes
+    /// admission (validation, keying and the cache probe), and
+    /// [`PrepareReport::admission_wait`] when the submitter parked. Zero
+    /// for a cache hit, which is answered at admission and never queues.
     pub queue_wait: Duration,
     /// Time this job's blocking submitter spent **parked on the admission
     /// ticket queue** before the job entered the scheduler — the wait
     /// provenance of bounded admission
     /// ([`EngineConfig::with_queue_depth`](crate::EngineConfig)). Zero for
-    /// jobs admitted without parking (free slot, unbounded queue, or the
+    /// jobs admitted without parking (free slot, unbounded queue, the
     /// non-blocking [`try_submit`](crate::EngineService::try_submit)
-    /// path, which refuses instead of parking).
+    /// path, which refuses instead of parking, or a cache hit, which takes
+    /// no queue slot).
     pub admission_wait: Duration,
 }

@@ -61,6 +61,7 @@ use std::sync::mpsc::Sender;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
+use crate::cache::CanonicalKey;
 use crate::request::{PrepareReport, PrepareRequest, StatePayload};
 use crate::service::EngineError;
 
@@ -160,10 +161,15 @@ pub(crate) fn estimate_cost(request: &PrepareRequest) -> u64 {
     cost.max(1)
 }
 
-/// One accepted submission: the request plus everything the worker needs
-/// to report back.
+/// One accepted submission — a cache miss, since hits are answered at
+/// admission — plus everything the worker needs to fill the cache and
+/// report back.
 pub(crate) struct Job {
     pub(crate) request: PrepareRequest,
+    /// The request's fingerprint and canonical key, computed once at
+    /// admission for the cache probe; the worker inserts its result under
+    /// them. `None` when the cache is off.
+    pub(crate) key: Option<(u64, CanonicalKey)>,
     /// Wall-clock instant of submission — `queue_wait` is measured from
     /// here to worker pickup (and therefore includes any parked admission
     /// wait).
@@ -517,6 +523,11 @@ impl Scheduler {
         }
     }
 
+    /// Whether the queue refuses submissions (closing or aborted).
+    pub(crate) fn is_closed(&self) -> bool {
+        self.shared.lock().expect("scheduler poisoned").closed
+    }
+
     /// Jobs currently queued (not yet picked up by a worker).
     pub(crate) fn len(&self) -> usize {
         self.shared.lock().expect("scheduler poisoned").heap.len()
@@ -559,6 +570,7 @@ mod tests {
         (
             Job {
                 request,
+                key: None,
                 submitted_at: Instant::now(),
                 admission_wait: Duration::ZERO,
                 reply,

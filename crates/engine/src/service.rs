@@ -5,9 +5,10 @@
 //! arena, unique table, weight table, compute cache — alive across
 //! submissions. Callers stream requests in through [`EngineService::submit`]
 //! (never blocking on the pipeline) and await each result through the
-//! returned [`JobHandle`]; the [`scheduler`](crate::scheduler) decides the
-//! execution order without ever changing the result, which stays
-//! bit-identical to the sequential pipeline for every job.
+//! returned [`JobHandle`]. Admission answers cache hits on the submitting
+//! thread; only misses enter the [`scheduler`](crate::scheduler), which
+//! decides the execution order without ever changing the result, which
+//! stays bit-identical to the sequential pipeline for every job.
 //!
 //! Everything is built on `std` synchronization primitives (mpsc channels,
 //! mutex + condvar) — no external async runtime, consistent with the
@@ -23,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use mdq_core::{PrepareError, PrepareOptions, Preparer, VerificationReport};
 
-use crate::cache::{canonical_key, CachedPreparation, CircuitCache};
+use crate::cache::{canonical_key, CachedPreparation, CanonicalKey, CircuitCache};
 use crate::engine::{EngineConfig, EngineStats};
 use crate::request::{PrepareReport, PrepareRequest, StatePayload};
 use crate::scheduler::{Job, PushRefusal, Scheduler};
@@ -43,7 +44,9 @@ pub enum EngineError {
     QueueClosed,
     /// Admission control refused the job: the scheduler queue was at its
     /// configured bound ([`EngineConfig::with_queue_depth`]) when
-    /// [`EngineService::try_submit`] ran. The job was never queued.
+    /// [`EngineService::try_submit`] ran. The job was never queued. Only
+    /// cache misses can be refused this way: a hit is answered at
+    /// admission and takes no queue slot.
     QueueFull {
         /// Jobs queued at the moment of refusal.
         depth: usize,
@@ -134,7 +137,9 @@ impl std::error::Error for AdmissionError {
 /// The caller's side of one submission: a future-like handle resolving to
 /// the job's [`PrepareReport`].
 ///
-/// The handle polls a dedicated mpsc channel; once a result has been
+/// A queued job's handle polls a dedicated mpsc channel; a job answered at
+/// admission (a cache hit or a malformed request) gets a handle that is
+/// resolved from the start and has no channel. Once a result has been
 /// received it is retained, so [`JobHandle::try_wait`] and
 /// [`JobHandle::wait_timeout`] can be called repeatedly and
 /// [`JobHandle::wait`] consumes the handle for the final by-value result.
@@ -142,20 +147,32 @@ impl std::error::Error for AdmissionError {
 /// runs); it never blocks the service.
 #[derive(Debug)]
 pub struct JobHandle {
-    rx: Receiver<Result<PrepareReport, EngineError>>,
+    /// The reply channel of a queued job; `None` when resolved at admission.
+    rx: Option<Receiver<Result<PrepareReport, EngineError>>>,
     outcome: Option<Result<PrepareReport, EngineError>>,
 }
 
 impl JobHandle {
     pub(crate) fn new(rx: Receiver<Result<PrepareReport, EngineError>>) -> Self {
-        JobHandle { rx, outcome: None }
+        JobHandle {
+            rx: Some(rx),
+            outcome: None,
+        }
+    }
+
+    /// A handle resolved at admission, without a channel.
+    fn resolved(outcome: Result<PrepareReport, EngineError>) -> Self {
+        JobHandle {
+            rx: None,
+            outcome: Some(outcome),
+        }
     }
 
     /// Non-blocking poll: `Some` once the job has finished (or the service
     /// stopped), `None` while it is still queued or running.
     pub fn try_wait(&mut self) -> Option<&Result<PrepareReport, EngineError>> {
-        if self.outcome.is_none() {
-            match self.rx.try_recv() {
+        if let (None, Some(rx)) = (&self.outcome, &self.rx) {
+            match rx.try_recv() {
                 Ok(result) => self.outcome = Some(result),
                 Err(TryRecvError::Empty) => {}
                 Err(TryRecvError::Disconnected) => {
@@ -172,8 +189,8 @@ impl JobHandle {
         &mut self,
         timeout: Duration,
     ) -> Option<&Result<PrepareReport, EngineError>> {
-        if self.outcome.is_none() {
-            match self.rx.recv_timeout(timeout) {
+        if let (None, Some(rx)) = (&self.outcome, &self.rx) {
+            match rx.recv_timeout(timeout) {
                 Ok(result) => self.outcome = Some(result),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => {
@@ -195,13 +212,24 @@ impl JobHandle {
         if let Some(result) = self.outcome.take() {
             return result;
         }
-        match self.rx.recv() {
-            Ok(result) => result,
+        match self.rx.as_ref().map(Receiver::recv) {
+            Some(Ok(result)) => result,
             // Workers dropped the sender without replying: the service
             // went away (or a worker died) before this job resolved.
-            Err(_) => Err(EngineError::Shutdown),
+            _ => Err(EngineError::Shutdown),
         }
     }
+}
+
+/// What admission makes of a request before the scheduler sees it.
+enum Admission {
+    /// Resolved on the submitting thread: a validation failure, or a cache
+    /// hit with its verification verdict.
+    Answered(Result<PrepareReport, EngineError>),
+    /// The service no longer accepts work.
+    Closed,
+    /// A cache miss, to be queued with the key it was probed under.
+    Miss(Option<(u64, CanonicalKey)>),
 }
 
 /// Per-worker telemetry slots, written by the worker after every job and
@@ -270,40 +298,61 @@ impl ServiceShared {
         Ok(())
     }
 
-    /// Cache probe → pipeline on miss → replay verification (when the
-    /// request demands it) → cache fill, on one worker's preparer. The
-    /// single serving path of the whole crate.
+    /// Admission, on the submitting thread: validate, refuse when closed,
+    /// key the request, and probe the cache once. A malformed request
+    /// fails with the identical [`PrepareError`] the pipeline would have
+    /// produced, counted as a failure; a hit is answered from the shared
+    /// entry, copying no circuit, and its `elapsed` times that answer from
+    /// the probe on. Neither takes a queue slot.
+    fn admit(&self, request: &PrepareRequest) -> Admission {
+        if let Err(error) = request.validate() {
+            self.failures.fetch_add(1, Ordering::Relaxed);
+            return Admission::Answered(Err(EngineError::Prepare(error)));
+        }
+        if self.scheduler.is_closed() {
+            return Admission::Closed;
+        }
+        if !self.config.use_cache {
+            return Admission::Miss(None);
+        }
+        let Some((fingerprint, key)) = canonical_key(request) else {
+            return Admission::Miss(None);
+        };
+        // A verified request never silently reuses an unverified entry:
+        // `get` skips entries without a verification report when one is
+        // demanded (counted as a miss), so the worker re-runs the pipeline
+        // and upgrades the entry.
+        let verified = request.options.verification.is_enabled();
+        let answering = Instant::now();
+        let Some(cached) = self.cache.get(fingerprint, &key, verified) else {
+            return Admission::Miss(Some((fingerprint, key)));
+        };
+        let outcome = self
+            .check_verification(&request.options, cached.verification.as_ref())
+            .map(|()| {
+                self.jobs.fetch_add(1, Ordering::Relaxed);
+                PrepareReport {
+                    circuit: Arc::clone(&cached.circuit),
+                    report: cached.report.clone(),
+                    verification: cached.verification.clone(),
+                    from_cache: true,
+                    elapsed: answering.elapsed(),
+                    queue_wait: Duration::ZERO,
+                    admission_wait: Duration::ZERO,
+                }
+            });
+        Admission::Answered(outcome)
+    }
+
+    /// Pipeline → replay verification (when the request demands it) →
+    /// cache fill under the admission key → threshold gate, on one
+    /// worker's preparer: the miss path, the only work a worker does.
     fn serve(
         &self,
         preparer: &mut Preparer,
         request: &PrepareRequest,
+        key: Option<(u64, CanonicalKey)>,
     ) -> Result<PrepareReport, EngineError> {
-        let verified = request.options.verification.is_enabled();
-        let key = if self.config.use_cache {
-            canonical_key(request)
-        } else {
-            None
-        };
-        if let Some((fingerprint, key)) = &key {
-            // A verified request never silently reuses an unverified
-            // entry: `get` skips entries without a verification report
-            // when one is demanded (counted as a miss), so the pipeline
-            // re-runs below and upgrades the entry.
-            if let Some(cached) = self.cache.get(*fingerprint, key, verified) {
-                self.check_verification(&request.options, cached.verification.as_ref())?;
-                self.jobs.fetch_add(1, Ordering::Relaxed);
-                return Ok(PrepareReport {
-                    circuit: cached.circuit.clone(),
-                    report: cached.report.clone(),
-                    verification: cached.verification.clone(),
-                    from_cache: true,
-                    elapsed: Duration::default(),
-                    queue_wait: Duration::default(),
-                    admission_wait: Duration::default(),
-                });
-            }
-        }
-
         let warm_start = preparer.has_scratch();
         let outcome = match &request.payload {
             StatePayload::Dense(amplitudes) => {
@@ -323,7 +372,7 @@ impl ServiceShared {
         if warm_start {
             self.arena_reuses.fetch_add(1, Ordering::Relaxed);
         }
-        let verification = if verified {
+        let verification = if request.options.verification.is_enabled() {
             let measured = match &request.payload {
                 StatePayload::Dense(amplitudes) => {
                     preparer.verify_dense(&result.circuit, amplitudes)
@@ -347,16 +396,17 @@ impl ServiceShared {
             None
         };
         let (circuit, report) = preparer.recycle(result);
+        let circuit = Arc::new(circuit);
         if let Some((fingerprint, key)) = key {
             // Filled even when the threshold check below fails: the
             // circuit itself is valid and the measured fidelity is part of
-            // the entry, so identical verified requests fail fast from the
-            // cache with the same verdict.
+            // the entry, so identical verified requests fail fast at
+            // admission with the same verdict.
             self.cache.insert(
                 fingerprint,
                 key,
                 Arc::new(CachedPreparation {
-                    circuit: circuit.clone(),
+                    circuit: Arc::clone(&circuit),
                     report: report.clone(),
                     verification: verification.clone(),
                 }),
@@ -391,7 +441,7 @@ impl ServiceShared {
         while let Some(job) = self.scheduler.pop() {
             let queue_wait = job.submitted_at.elapsed();
             let started = Instant::now();
-            let mut outcome = self.serve(&mut preparer, &job.request);
+            let mut outcome = self.serve(&mut preparer, &job.request, job.key);
             if let Ok(report) = &mut outcome {
                 report.elapsed = started.elapsed();
                 report.queue_wait = queue_wait;
@@ -591,78 +641,81 @@ impl EngineService {
         snapshot::save(&self.shared.cache, path)
     }
 
-    /// Validation shared by both admission paths: a malformed request —
-    /// invalid thresholds or a payload the pipeline would reject — fails
-    /// **at admission** with the identical [`PrepareError`] the worker
-    /// would have produced, resolved straight onto the reply channel. It
-    /// never occupies a queue slot, never displaces well-formed work under
-    /// the size-aware policy, and counts as a failure exactly as a
-    /// worker-side rejection would.
-    fn admit_validated(&self, job: Job) -> Option<Job> {
-        match job.request.validate() {
-            Ok(()) => Some(job),
-            Err(error) => {
-                self.shared.failures.fetch_add(1, Ordering::Relaxed);
-                // Resolves the caller's handle through the job's own reply
-                // channel, exactly as a worker-side failure would.
-                job.reject(EngineError::Prepare(error));
-                None
+    /// A queued miss and the handle its worker will resolve.
+    fn queued(
+        request: PrepareRequest,
+        key: Option<(u64, CanonicalKey)>,
+        submitted_at: Instant,
+    ) -> (Job, JobHandle) {
+        let (reply, rx) = channel();
+        let job = Job {
+            request,
+            key,
+            submitted_at,
+            admission_wait: Duration::ZERO,
+            reply,
+        };
+        (job, JobHandle::new(rx))
+    }
+
+    /// Submits one request and returns its handle.
+    ///
+    /// Admission runs on the calling thread, in order: the request is
+    /// validated, a stopped service refuses it with
+    /// [`EngineError::QueueClosed`], and, with the cache on, the request
+    /// is keyed ([`canonical_key`]) and the cache probed once. A cache hit
+    /// returns a handle that is already resolved: it never queues, never
+    /// parks, and never reaches a worker (see [`PrepareReport`] for its
+    /// timing fields). A malformed request (payload or options the
+    /// pipeline would reject) likewise fails its handle at once with the
+    /// identical [`EngineError::Prepare`] error, without consuming a
+    /// queue slot.
+    ///
+    /// A miss is enqueued with its key and runs when the scheduler picks
+    /// it, ordered by [`Priority`](crate::Priority) / size under the
+    /// default policy, with wait-time aging ([`EngineConfig::aging`])
+    /// guaranteeing no accepted job starves. On an unbounded queue (the
+    /// default) this never blocks. With [`EngineConfig::with_queue_depth`]
+    /// set, a miss that finds the queue full **parks on the admission
+    /// ticket queue until space frees** — the backpressure submission
+    /// path. Admission is FIFO-fair: slots freed by workers are handed to
+    /// parked submitters strictly in arrival order, and a concurrent
+    /// [`try_submit`](EngineService::try_submit) flood is refused rather
+    /// than allowed to steal an owed slot, so every parked submitter's
+    /// wait is bounded by the pops ahead of its ticket. The time spent
+    /// parked is reported per job as
+    /// [`PrepareReport::admission_wait`](crate::PrepareReport) and in
+    /// aggregate as [`EngineStats::parked`](crate::EngineStats). Callers
+    /// that must not block use `try_submit` instead.
+    pub fn submit(&self, request: PrepareRequest) -> JobHandle {
+        let submitted_at = Instant::now();
+        match self.shared.admit(&request) {
+            Admission::Answered(outcome) => JobHandle::resolved(outcome),
+            Admission::Closed => JobHandle::resolved(Err(EngineError::QueueClosed)),
+            Admission::Miss(key) => {
+                let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
+                let (job, handle) = Self::queued(request, key, submitted_at);
+                self.shared.scheduler.push(job, seq);
+                handle
             }
         }
     }
 
-    /// Enqueues one request and returns its handle. The job runs when the
-    /// scheduler picks it, ordered by [`Priority`](crate::Priority) / size
-    /// under the default policy, with wait-time aging
-    /// ([`EngineConfig::aging`]) guaranteeing no accepted job starves.
-    ///
-    /// On an unbounded queue (the default) this never blocks. With
-    /// [`EngineConfig::with_queue_depth`] set, a full queue makes this
-    /// **park on the admission ticket queue until space frees** — the
-    /// backpressure submission path. Admission is FIFO-fair: slots freed
-    /// by workers are handed to parked submitters strictly in arrival
-    /// order, and a concurrent [`try_submit`](EngineService::try_submit)
-    /// flood is refused rather than allowed to steal an owed slot, so
-    /// every parked submitter's wait is bounded by the pops ahead of its
-    /// ticket. The time spent parked is reported per job as
-    /// [`PrepareReport::admission_wait`](crate::PrepareReport) and in
-    /// aggregate as [`EngineStats::parked`](crate::EngineStats). Callers
-    /// that must not block use `try_submit` instead.
-    ///
-    /// Malformed requests (payload or options the pipeline would reject)
-    /// fail their handle immediately with the identical
-    /// [`EngineError::Prepare`] error, without consuming a queue slot.
-    pub fn submit(&self, request: PrepareRequest) -> JobHandle {
-        let (reply, rx) = channel();
-        let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let job = Job {
-            request,
-            submitted_at: Instant::now(),
-            admission_wait: Duration::ZERO,
-            reply,
-        };
-        if let Some(job) = self.admit_validated(job) {
-            self.shared.scheduler.push(job, seq);
-        }
-        JobHandle::new(rx)
-    }
-
-    /// Non-blocking admission: enqueues the request if the scheduler queue
-    /// has room **and no blocking submitters are parked**, or returns it
-    /// to the caller inside an [`AdmissionError`] —
-    /// [`EngineError::QueueFull`] when the
-    /// [`EngineConfig::with_queue_depth`] bound is hit or a parked
-    /// [`submit`](EngineService::submit) holds a ticket for the next freed
-    /// slot (counted in [`EngineStats::rejected`](crate::EngineStats)),
-    /// [`EngineError::QueueClosed`] when the service stopped accepting
-    /// work. Refusing while tickets are outstanding is what makes bounded
-    /// admission FIFO-fair: a non-blocking flood sheds load instead of
-    /// starving parked submitters. A refused job is never queued and
-    /// leaves no handle or channel behind.
-    ///
-    /// Malformed requests that pass admission control still fail their
-    /// handle immediately with [`EngineError::Prepare`], exactly as
-    /// [`submit`](EngineService::submit) does.
+    /// Non-blocking submission. Admission runs as in
+    /// [`submit`](EngineService::submit): a malformed request or a cache
+    /// hit returns `Ok` with a handle that is already resolved, and a hit
+    /// is never refused [`EngineError::QueueFull`], because it takes no
+    /// queue slot. A miss is enqueued if the scheduler queue has room
+    /// **and no blocking submitters are parked**, or returned to the
+    /// caller inside an [`AdmissionError`] — [`EngineError::QueueFull`]
+    /// when the [`EngineConfig::with_queue_depth`] bound is hit or a
+    /// parked `submit` holds a ticket for the next freed slot (counted in
+    /// [`EngineStats::rejected`](crate::EngineStats)). Refusing while
+    /// tickets are outstanding is what makes bounded admission FIFO-fair:
+    /// a non-blocking flood sheds load instead of starving parked
+    /// submitters. A stopped service refuses every valid request, hit or
+    /// miss, with [`EngineError::QueueClosed`]. A refused job is never
+    /// queued and leaves no handle or channel behind.
     ///
     /// # Errors
     ///
@@ -671,19 +724,21 @@ impl EngineService {
     // to the caller by value so it can be retried or rerouted.
     #[allow(clippy::result_large_err)]
     pub fn try_submit(&self, request: PrepareRequest) -> Result<JobHandle, AdmissionError> {
-        let (reply, rx) = channel();
+        let submitted_at = Instant::now();
+        let key = match self.shared.admit(&request) {
+            Admission::Answered(outcome) => return Ok(JobHandle::resolved(outcome)),
+            Admission::Closed => {
+                return Err(AdmissionError {
+                    request,
+                    error: EngineError::QueueClosed,
+                })
+            }
+            Admission::Miss(key) => key,
+        };
         let seq = self.shared.seq.fetch_add(1, Ordering::Relaxed);
-        let job = Job {
-            request,
-            submitted_at: Instant::now(),
-            admission_wait: Duration::ZERO,
-            reply,
-        };
-        let Some(job) = self.admit_validated(job) else {
-            return Ok(JobHandle::new(rx));
-        };
+        let (job, handle) = Self::queued(request, key, submitted_at);
         match self.shared.scheduler.try_push(job, seq) {
-            Ok(()) => Ok(JobHandle::new(rx)),
+            Ok(()) => Ok(handle),
             Err((job, refusal)) => {
                 let error = match refusal {
                     PushRefusal::Full { depth, limit } => {
@@ -692,9 +747,10 @@ impl EngineService {
                     }
                     PushRefusal::Closed => EngineError::QueueClosed,
                 };
-                // `rx` and the job's reply sender both die right here:
-                // nothing of a refused submission reaches the queue or a
-                // worker, so dropping the error cannot leak or deadlock.
+                // The handle and the job's reply sender both die right
+                // here: nothing of a refused submission reaches the queue
+                // or a worker, so dropping the error cannot leak or
+                // deadlock.
                 Err(AdmissionError {
                     request: job.request,
                     error,
@@ -821,7 +877,7 @@ mod tests {
             assert_eq!(results.len(), requests.len());
             for (i, (result, want)) in results.iter().zip(&expected).enumerate() {
                 let report = result.as_ref().expect("job succeeds");
-                assert_eq!(&report.circuit, want, "request {i} at {workers} workers");
+                assert_eq!(&*report.circuit, want, "request {i} at {workers} workers");
             }
             assert_eq!(service.stats().jobs, requests.len() as u64);
             assert!(service.submit_batch(Vec::new()).is_empty());
@@ -833,9 +889,13 @@ mod tests {
     fn duplicate_requests_hit_the_cache() {
         let requests = mixed_batch();
         let service = EngineService::new(EngineConfig::default().with_workers(1));
-        let cold = wait_all(service.submit_batch(requests.clone()));
-        // Request 4 duplicates request 0, so even the cold batch hits once.
+        // Request 4 duplicates request 0. The cache is probed at
+        // admission, so a duplicate submitted while its twin is still
+        // queued computes too; submitted after its twin resolved, it hits.
+        let mut cold = wait_all(service.submit_batch(requests[..4].iter().cloned()));
+        cold.push(service.submit(requests[4].clone()).wait());
         let (first, duplicate) = (cold[0].as_ref().unwrap(), cold[4].as_ref().unwrap());
+        assert!(!first.from_cache);
         assert!(duplicate.from_cache);
         assert_eq!(first.circuit, duplicate.circuit);
         let warm = wait_all(service.submit_batch(requests.clone()));
@@ -846,7 +906,8 @@ mod tests {
         }
         let stats = service.stats();
         assert_eq!(stats.jobs, 2 * requests.len() as u64);
-        assert!(stats.cache.hits >= requests.len() as u64);
+        assert_eq!(stats.cache.hits, requests.len() as u64 + 1);
+        assert_eq!(stats.cache.misses, 4, "each distinct key missed once");
         assert_eq!(stats.cache.entries, 4, "four distinct keys stored");
         assert!(stats.weight_lookups > 0, "arena telemetry aggregated");
         assert!(stats.arena_reuses > 0, "worker arenas persisted");
@@ -904,14 +965,15 @@ mod tests {
         );
         let dense = PrepareRequest::dense(d, amps, PrepareOptions::exact());
         let expected = dense.prepare_sequential().unwrap();
-        // One worker: the sparse job is submitted (and popped) first, so it
-        // lands in the cache before the dense job probes.
+        // The cache is probed at admission: the sparse job resolves first,
+        // so its entry is in the cache before the dense request probes.
         let service = EngineService::new(EngineConfig::default().with_workers(1));
-        let results = wait_all(service.submit_batch([sparse, dense]));
-        let served = results[1].as_ref().unwrap();
+        service.submit(sparse).wait().unwrap();
+        assert_eq!(service.cache().len(), 1, "the sparse entry is cached");
+        let served = &service.submit(dense).wait().unwrap();
         assert!(!served.from_cache, "tree-metric request must not alias");
         assert_eq!(served.report.nodes_initial, expected.report.nodes_initial);
-        assert_eq!(served.circuit, expected.circuit);
+        assert_eq!(*served.circuit, expected.circuit);
         service.shutdown();
     }
 
@@ -1127,7 +1189,7 @@ mod tests {
         assert!(verification.replay_nodes > 0);
         // Bit-identical to the unverified sequential pipeline.
         let want = request.prepare_sequential().unwrap();
-        assert_eq!(report.circuit, want.circuit);
+        assert_eq!(*report.circuit, want.circuit);
         // The verified entry is in the cache; a repeat is served from it,
         // verification report included.
         let again = service.submit(request).wait().expect("cache hit");
@@ -1265,7 +1327,7 @@ mod tests {
         assert!(warm.from_cache, "served from the loaded snapshot");
         assert_eq!(warm.circuit, cold.circuit);
         assert_eq!(
-            warm.circuit,
+            *warm.circuit,
             request.prepare_sequential().unwrap().circuit,
             "snapshot-served circuit is bit-identical to sequential prepare"
         );

@@ -358,7 +358,7 @@ fn read_record(c: &mut Cursor) -> Result<(CanonicalKey, CachedPreparation), Text
             options,
         },
         CachedPreparation {
-            circuit,
+            circuit: Arc::new(circuit),
             report,
             verification,
         },
@@ -459,7 +459,7 @@ mod tests {
                 fp,
                 key,
                 Arc::new(CachedPreparation {
-                    circuit: prepared.circuit,
+                    circuit: Arc::new(prepared.circuit),
                     report: prepared.report,
                     verification,
                 }),
@@ -686,7 +686,7 @@ mod tests {
                 },
             },
             CachedPreparation {
-                circuit,
+                circuit: Arc::new(circuit),
                 report: report(5, 123_456),
                 verification: Some(VerificationReport {
                     fidelity: 1.0 - f64::EPSILON,
@@ -710,7 +710,7 @@ mod tests {
                 },
             },
             CachedPreparation {
-                circuit: Circuit::new(Dims::new(vec![2]).unwrap()),
+                circuit: Arc::new(Circuit::new(Dims::new(vec![2]).unwrap())),
                 report: report(0, 7),
                 verification: None,
             },

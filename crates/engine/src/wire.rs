@@ -61,6 +61,7 @@
 //! [`prepare_sequential`]: PrepareRequest::prepare_sequential
 
 use std::fmt;
+use std::sync::Arc;
 
 use mdq_circuit::serialize::{self, Cursor, TextError, Writer};
 use mdq_core::{Direction, PrepareOptions, ProductRule, VerificationPolicy};
@@ -604,7 +605,7 @@ fn read_report(c: &mut Cursor) -> Result<ReportFrame, TextError> {
     Ok(ReportFrame {
         dims,
         report: PrepareReport {
-            circuit,
+            circuit: Arc::new(circuit),
             report,
             verification,
             from_cache,
@@ -840,7 +841,7 @@ mod tests {
         amps[5] = Complex::new(0.0, 0.8);
         let prepared = mdq_core::prepare(&d, &amps, PrepareOptions::exact()).unwrap();
         let report = PrepareReport {
-            circuit: prepared.circuit,
+            circuit: Arc::new(prepared.circuit),
             report: prepared.report,
             verification: Some(mdq_core::VerificationReport {
                 fidelity: 1.0 - 1e-14,
@@ -1142,7 +1143,7 @@ mod tests {
         let frame = Frame::Report(ReportFrame {
             dims: d,
             report: PrepareReport {
-                circuit,
+                circuit: Arc::new(circuit),
                 report: prepared.report,
                 verification: None,
                 from_cache: false,
@@ -1176,7 +1177,7 @@ mod tests {
         let frame = Frame::Report(ReportFrame {
             dims: d,
             report: PrepareReport {
-                circuit,
+                circuit: Arc::new(circuit),
                 report: prepared.report,
                 verification: None,
                 from_cache: false,

@@ -648,7 +648,7 @@ mod tests {
             let req = request(seed);
             let direct = req.clone().prepare_sequential().unwrap();
             let routed = router.submit(tenant, req).unwrap().wait().unwrap();
-            assert_eq!(routed.circuit, direct.circuit);
+            assert_eq!(*routed.circuit, direct.circuit);
         }
         let stats = router.stats();
         assert_eq!(stats.submitted, 6);
@@ -854,7 +854,7 @@ mod tests {
         let req = PrepareRequest::dense(d.clone(), w_state(&d), PrepareOptions::exact());
         let direct = req.clone().prepare_sequential().unwrap();
         let routed = router.submit(TenantId(0), req).unwrap().wait().unwrap();
-        assert_eq!(routed.circuit, direct.circuit);
+        assert_eq!(*routed.circuit, direct.circuit);
         router.shutdown();
     }
 }

@@ -56,15 +56,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    // The duplicate request produced a bit-identical circuit. (Whether it
-    // was served from the cache depends on worker scheduling in the cold
-    // batch — usually yes; the warm resubmission below is guaranteed.)
+    // The duplicate request produced a bit-identical circuit. (The cache
+    // is probed at submission, and the duplicate is submitted right behind
+    // its twin, usually before the twin's circuit is cached — so it
+    // usually computes too. The warm resubmission below always hits.)
     let (first, duplicate) = (&reports[0], &reports[4]);
     assert_eq!(first.circuit, duplicate.circuit);
 
     // Batch results are bit-identical to the one-shot pipeline…
     let one_shot = prepare(&d3, &ghz(&d3), PrepareOptions::exact())?;
-    assert_eq!(first.circuit, one_shot.circuit);
+    assert_eq!(*first.circuit, one_shot.circuit);
 
     // …and the circuits really prepare their targets.
     let mut state = StateVector::ground(d3.clone());

@@ -81,7 +81,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .report()
             .expect("batch tenant is unbounded");
         assert_eq!(
-            report.report.circuit, reference.circuit,
+            *report.report.circuit, reference.circuit,
             "served circuit raw-bit identical to the sequential pipeline"
         );
         println!(

@@ -128,7 +128,7 @@ fn check_against_sequential(stream: &[PrepareRequest], batched: bool) -> Result<
         for (index, (handle, want)) in handles.into_iter().zip(&expected).enumerate() {
             let report = handle.wait().expect("job succeeds");
             prop_assert_eq!(
-                &report.circuit,
+                &*report.circuit,
                 want,
                 "request {} at {} workers (batched: {})",
                 index,
@@ -322,4 +322,94 @@ fn unit_verification_floor_accepts_exact_replays_just_below_one() {
         below_one > 0,
         "no replay landed below 1, so nothing was tested"
     );
+}
+
+/// A cache hit is answered at admission, on the submitting thread. With
+/// the only worker pinned by a large job and the single queue slot taken,
+/// a miss is refused `QueueFull`, while the cached request resolves at
+/// once through `try_submit` and the blocking `submit` alike — neither
+/// parks, takes a slot, or waits for the worker — and every serving of
+/// the entry shares one circuit allocation instead of copying it.
+#[test]
+fn cache_hits_need_no_queue_slot_no_worker_and_no_copy() {
+    use mdq::engine::{EngineError, SchedulingPolicy, VerificationPolicy};
+    use mdq::states::{random_state, RandomKind};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let d = Dims::new(vec![3, 6, 2]).unwrap();
+    let cached = PrepareRequest::dense(d.clone(), ghz(&d), PrepareOptions::exact());
+    let expected = cached.prepare_sequential().unwrap().circuit;
+    let service = EngineService::new(
+        EngineConfig::default()
+            .with_workers(1)
+            .with_queue_depth(1)
+            .with_scheduling(SchedulingPolicy::Fifo),
+    );
+    let first = service
+        .submit(cached.clone())
+        .wait()
+        .expect("cold job runs");
+    assert!(!first.from_cache);
+
+    // Pin the worker with a large exact job (replay-verified, which about
+    // doubles its time), then fill the single slot.
+    let big = Dims::new(vec![4, 7, 4, 4, 3, 5]).unwrap();
+    let state = random_state(&big, RandomKind::ReImUniform, &mut StdRng::seed_from_u64(7));
+    let pin = service.submit(
+        PrepareRequest::dense(big, state, PrepareOptions::exact())
+            .with_verification(VerificationPolicy::replay(0.99)),
+    );
+    while service.stats().queued > 0 {
+        std::thread::yield_now();
+    }
+    let filler = service.submit(PrepareRequest::dense(
+        d.clone(),
+        w_state(&d),
+        PrepareOptions::exact(),
+    ));
+    let miss = PrepareRequest::dense(d.clone(), w_state(&d), PrepareOptions::approximated(0.98));
+    let refused_full = || match service.try_submit(miss.clone()) {
+        Err(refused) => matches!(refused.error, EngineError::QueueFull { limit: 1, .. }),
+        Ok(_) => false,
+    };
+    assert!(refused_full(), "a miss finds the single slot taken");
+    let before = service.stats();
+
+    let mut hit = service
+        .try_submit(cached.clone())
+        .expect("a hit is never refused QueueFull");
+    let mut blocking = service.submit(cached.clone());
+    // Only misses take slots and only the worker frees one, so a second
+    // refused miss shows the queue stayed full across both hits.
+    assert!(refused_full(), "the queue stayed full across both hits");
+    for handle in [&mut hit, &mut blocking] {
+        let report = handle
+            .try_wait()
+            .expect("resolved at admission")
+            .as_ref()
+            .expect("the hit succeeds");
+        assert!(report.from_cache);
+        assert_eq!(report.queue_wait, Duration::ZERO);
+        assert_eq!(report.admission_wait, Duration::ZERO);
+        assert_eq!(*report.circuit, expected, "raw-bit equal to sequential");
+    }
+    let after = service.stats();
+    assert_eq!(after.parked, 0, "the blocking hit never parked");
+    assert_eq!(after.rejected, before.rejected + 1, "only misses refused");
+    assert_eq!(after.high_watermark, before.high_watermark);
+    assert_eq!(after.jobs, before.jobs + 2, "hits count as served jobs");
+    assert_eq!(after.cache.hits, before.cache.hits + 2);
+
+    let (hit, blocking) = (hit.wait().unwrap(), blocking.wait().unwrap());
+    assert!(Arc::ptr_eq(&hit.circuit, &blocking.circuit), "hits share");
+    assert!(
+        Arc::ptr_eq(&first.circuit, &hit.circuit),
+        "the miss shared its circuit with the entry it filled"
+    );
+    pin.wait().expect("the pinning job completes");
+    filler.wait().expect("the queued miss completes");
+    service.shutdown();
 }

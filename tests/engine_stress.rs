@@ -263,7 +263,7 @@ fn flood_and_reconcile(workers: usize, policy: SchedulingPolicy) {
                     "template {index} must not succeed"
                 );
                 assert_eq!(
-                    &report.circuit,
+                    &*report.circuit,
                     template.circuit.as_ref().unwrap(),
                     "template {index}: accepted result bit-identical to sequential \
                      ({workers} workers, {policy:?})"
@@ -389,7 +389,7 @@ fn saturated_queue_rejects_and_recovers() {
     let expected = cheap.prepare_sequential().unwrap().circuit;
     for handle in accepted {
         assert_eq!(
-            handle.wait().expect("admitted job resolves").circuit,
+            *handle.wait().expect("admitted job resolves").circuit,
             expected
         );
     }
@@ -946,7 +946,7 @@ fn warm_start_snapshot_replays_the_chaos_workload() {
                     "template {index} must be served from the snapshot"
                 );
                 assert_eq!(
-                    &report.circuit,
+                    &*report.circuit,
                     template.circuit.as_ref().unwrap(),
                     "template {index}: snapshot-served circuit bit-identical to sequential"
                 );
@@ -1017,7 +1017,7 @@ fn warm_start_snapshot_replays_the_chaos_workload() {
         !report.from_cache,
         "first serve after a rejected load is fresh"
     );
-    assert_eq!(&report.circuit, templates[0].circuit.as_ref().unwrap());
+    assert_eq!(&*report.circuit, templates[0].circuit.as_ref().unwrap());
     cold.shutdown_now();
     second.shutdown();
     let _ = fs::remove_file(&path);
@@ -1071,7 +1071,7 @@ fn lru_eviction_under_flood_reconciles() {
                     for (i, handle) in handles {
                         let report = handle.wait().expect("distinct good jobs succeed");
                         assert_eq!(
-                            report.circuit, workload[i].1,
+                            *report.circuit, workload[i].1,
                             "request {i} bit-identical no matter what was evicted"
                         );
                     }
@@ -1124,7 +1124,7 @@ fn lru_eviction_under_flood_reconciles() {
         .wait()
         .expect("still serving after the clear");
     assert!(!report.from_cache, "the clear left nothing to serve from");
-    assert_eq!(report.circuit, workload[0].1);
+    assert_eq!(*report.circuit, workload[0].1);
     assert_eq!(service.cache().stats().entries, 1);
     service.shutdown();
 }
@@ -1197,12 +1197,12 @@ fn router_flood_reconciles_with_quotas_and_midflood_resize() {
         .expect("other tenants are unaffected by a full quota")
         .wait()
         .expect("bystander job completes");
-    assert_eq!(&report.circuit, good.circuit.as_ref().unwrap());
+    assert_eq!(&*report.circuit, good.circuit.as_ref().unwrap());
     // Draining frees the slots; the handed-back requests are accepted on
     // resubmission, bit-identical as ever.
     for handle in held {
         let report = handle.wait().expect("admitted burst jobs complete");
-        assert_eq!(&report.circuit, good.circuit.as_ref().unwrap());
+        assert_eq!(&*report.circuit, good.circuit.as_ref().unwrap());
     }
     for request in handed_back {
         let report = router
@@ -1210,7 +1210,7 @@ fn router_flood_reconciles_with_quotas_and_midflood_resize() {
             .expect("freed slots admit the resubmission")
             .wait()
             .expect("resubmitted job completes");
-        assert_eq!(&report.circuit, good.circuit.as_ref().unwrap());
+        assert_eq!(&*report.circuit, good.circuit.as_ref().unwrap());
     }
 
     // Phase 2: multithreaded tenant flood with a mid-flood ring resize.
@@ -1274,7 +1274,7 @@ fn router_flood_reconciles_with_quotas_and_midflood_resize() {
             Ok(report) => {
                 assert_eq!(template.expected, Expected::Success);
                 assert_eq!(
-                    &report.circuit,
+                    &*report.circuit,
                     template.circuit.as_ref().unwrap(),
                     "template {index} via {tenant}: routed result bit-identical \
                      to sequential"
@@ -1427,7 +1427,7 @@ fn transport_chaos_flood_survives_faults_and_warm_restarts() {
         .report()
         .expect("resubmitted frame completes once the quota lifts");
     assert_eq!(
-        &report.report.circuit,
+        &*report.report.circuit,
         good.circuit.as_ref().expect("success template"),
         "probe circuit bit-identical to prepare_sequential"
     );
@@ -1555,7 +1555,7 @@ fn transport_chaos_flood_survives_faults_and_warm_restarts() {
                                         "only success templates complete (template {index})"
                                     );
                                     assert_eq!(
-                                        &report.report.circuit,
+                                        &*report.report.circuit,
                                         template.circuit.as_ref().expect("reference circuit"),
                                         "served circuit bit-identical to prepare_sequential \
                                      (template {index})"

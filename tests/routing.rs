@@ -130,7 +130,7 @@ proptest! {
                     prop_assert_eq!(previous, shard);
                 }
                 let report = handle.wait().expect("routed job must succeed");
-                prop_assert_eq!(&report.circuit, expected);
+                prop_assert_eq!(&*report.circuit, expected);
             }
             let stats = router.stats();
             prop_assert_eq!(stats.submitted, stream.len() as u64);
@@ -178,4 +178,110 @@ fn ring_placement_on_four_shards_is_pinned() {
         .map(|i| ring.route(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)).unwrap())
         .collect();
     assert_eq!(stride, [3, 1, 3, 2, 1, 3, 1, 3, 0, 1, 3, 1, 3, 0, 1, 0]);
+}
+
+/// A routed cache hit is answered at the shard's admission: on a shard
+/// whose only worker is pinned and whose single queue slot is taken, a
+/// routed miss is refused `ShardRefused(QueueFull)`, while the routed hit
+/// resolves at once and counts as completed in its tenant's ledger.
+/// Tenant quotas still gate every request, hits included.
+#[test]
+fn routed_cache_hit_resolves_on_a_full_shard_queue() {
+    use mdq::engine::{EngineError, SchedulingPolicy, VerificationPolicy};
+    use mdq::router::{RouterError, TenantQuota};
+    use mdq::states::{random_state, RandomKind};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let router = Router::new(
+        RouterConfig::default().with_engine_config(
+            EngineConfig::default()
+                .with_workers(1)
+                .with_queue_depth(1)
+                .with_scheduling(SchedulingPolicy::Fifo),
+        ),
+    );
+    router.add_shard(0);
+    let (tenant, busy) = (TenantId(3), TenantId(4));
+    router.set_quota(busy, TenantQuota::unlimited().with_max_in_flight(2));
+    let d = Dims::new(vec![3, 6, 2]).unwrap();
+    let cached = PrepareRequest::dense(d.clone(), ghz(&d), PrepareOptions::exact());
+    let expected = cached.prepare_sequential().unwrap().circuit;
+    let first = router
+        .submit(tenant, cached.clone())
+        .unwrap()
+        .wait()
+        .unwrap();
+    assert!(!first.from_cache);
+
+    // The busy tenant pins the worker and takes the single slot, which
+    // also puts it at its quota of two jobs in flight.
+    let big = Dims::new(vec![4, 7, 4, 4, 3, 5]).unwrap();
+    let state = random_state(&big, RandomKind::ReImUniform, &mut StdRng::seed_from_u64(7));
+    let pin = router
+        .submit(
+            busy,
+            PrepareRequest::dense(big, state, PrepareOptions::exact())
+                .with_verification(VerificationPolicy::replay(0.99)),
+        )
+        .unwrap();
+    while router.stats().shards[0].engine.queued > 0 {
+        std::thread::yield_now();
+    }
+    let filler = router
+        .submit(
+            busy,
+            PrepareRequest::dense(d.clone(), w_state(&d), PrepareOptions::exact()),
+        )
+        .unwrap();
+    let miss = PrepareRequest::dense(d.clone(), w_state(&d), PrepareOptions::approximated(0.98));
+    let refused_full = || {
+        matches!(
+            router.submit(tenant, miss.clone()),
+            Err(RouterError::ShardRefused {
+                error: EngineError::QueueFull { limit: 1, .. },
+                ..
+            })
+        )
+    };
+    assert!(refused_full(), "a routed miss finds the slot taken");
+
+    let mut hit = router
+        .submit(tenant, cached.clone())
+        .expect("a routed hit is never refused for a full queue");
+    assert!(
+        matches!(
+            router.submit(busy, cached.clone()),
+            Err(RouterError::TenantOverQuota { .. })
+        ),
+        "the quota gates hits too"
+    );
+    assert!(refused_full(), "the queue stayed full across the hit");
+    let report = hit
+        .try_wait()
+        .expect("resolved at admission")
+        .as_ref()
+        .expect("the hit succeeds");
+    assert!(report.from_cache);
+    assert_eq!(*report.circuit, expected);
+
+    let ledger = |id: TenantId| {
+        router
+            .stats()
+            .tenants
+            .into_iter()
+            .find(|t| t.tenant == id)
+            .expect("tenant has a ledger")
+    };
+    let t = ledger(tenant);
+    assert_eq!((t.submitted, t.completed, t.rejected), (4, 2, 2));
+    assert_eq!(t.in_flight, 0, "the hit released its quota slot");
+    pin.wait().expect("the pinning job completes");
+    filler.wait().expect("the queued miss completes");
+    let b = ledger(busy);
+    assert_eq!((b.submitted, b.completed, b.rejected), (3, 2, 1));
+    for t in [ledger(tenant), ledger(busy)] {
+        assert_eq!(t.completed + t.failed + t.rejected + t.dropped, t.submitted);
+    }
+    router.shutdown();
 }

@@ -5,6 +5,7 @@
 //! alone would also pass an encoding that changed consistently on both
 //! sides; these pin the bytes themselves.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use mdq::circuit::{Circuit, Control, Gate, Instruction};
@@ -131,7 +132,7 @@ fn report() -> ReportFrame {
     ReportFrame {
         dims: circuit.dims().clone(),
         report: PrepareReport {
-            circuit,
+            circuit: Arc::new(circuit),
             report: SynthesisReport {
                 nodes_initial: 58,
                 nodes_final: 41,

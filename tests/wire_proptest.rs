@@ -5,6 +5,7 @@
 //! damaged frames (truncated at any boundary, bytes flipped anywhere)
 //! must yield typed [`WireError`]s, never panics.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use mdq::core::{PrepareOptions, VerificationPolicy, VerificationReport};
@@ -311,7 +312,7 @@ proptest! {
         synth.pruned_mass = pmass;
         synth.fidelity_bound = fbound;
         let report = PrepareReport {
-            circuit: prepared.circuit,
+            circuit: Arc::new(prepared.circuit),
             report: synth,
             verification: (has_verify == 1).then_some(VerificationReport {
                 fidelity,
