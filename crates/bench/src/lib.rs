@@ -1,8 +1,7 @@
 //! Shared workload definitions and table formatting for the benchmark
 //! harness that regenerates every table and figure of the paper.
 //!
-//! The binaries in `src/bin/` each regenerate one experiment (see
-//! `DESIGN.md` §4 for the experiment index):
+//! The binaries in `src/bin/` each regenerate one experiment:
 //!
 //! * `table1` — Table 1 (all rows, exact + approximated 98 %);
 //! * `scaling` — the §5 claim that synthesis time is linear in DD nodes;

@@ -28,7 +28,7 @@ pub struct EngineConfig {
     /// [`CircuitCache::with_capacity`](crate::CircuitCache::with_capacity).
     pub cache_capacity: Option<usize>,
     /// Queue discipline of the scheduler (size-aware by default; FIFO is
-    /// the pre-service baseline).
+    /// strict submission order).
     pub scheduling: SchedulingPolicy,
     /// Wait-time aging of the size-aware scheduler — the starvation guard
     /// (on by default at [`Aging::DEFAULT_EPOCH`]): every epoch of queue
@@ -123,8 +123,8 @@ impl EngineConfig {
     }
 
     /// Overrides the size-aware scheduler's wait-time aging — the
-    /// starvation guard. [`Aging::Off`] restores the raw (frozen) sort key
-    /// as a baseline for fairness measurements; a smaller
+    /// starvation guard. [`Aging::Off`] restores the raw (frozen) sort key,
+    /// the no-aging control of the starvation tests; a smaller
     /// [`Aging::HalveEvery`] epoch bounds queue waits tighter at the cost
     /// of the small-job latency win. See [`EngineConfig::aging`].
     #[must_use]

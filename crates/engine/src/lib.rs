@@ -38,9 +38,9 @@
 //!   blocking small ones; wait-time [`Aging`] (on by default) halves a
 //!   queued job's effective cost every epoch and eventually promotes it
 //!   across priority classes, so no accepted job starves under a
-//!   sustained small-job flood ([`scheduler`] module docs); `Fifo` is the
-//!   baseline. Scheduling never changes results, only queue waits
-//!   ([`PrepareReport::queue_wait`]).
+//!   sustained small-job flood ([`scheduler`] module docs); `Fifo` is
+//!   strict submission order. Scheduling never changes results, only
+//!   queue waits ([`PrepareReport::queue_wait`]).
 //! * **Prepared-circuit cache, probed at admission** — requests are
 //!   fingerprinted by a content hash of the register, the
 //!   tolerance-quantized target amplitudes, and the pipeline options
@@ -58,7 +58,7 @@
 //!   re-derive every fingerprint and only admit records that round-trip
 //!   bit-exactly) and snapshots back on graceful shutdown, so a restart
 //!   replays the previous process's work instead of starting cold;
-//!   [`EngineService::snapshot_to`] saves on demand.
+//!   [`snapshot::save`] of [`EngineService::cache`] saves on demand.
 //! * **FIFO-fair admission control** — [`EngineConfig::with_queue_depth`]
 //!   bounds the scheduler queue: [`EngineService::try_submit`] refuses
 //!   overflow with [`EngineError::QueueFull`] (the request handed back by

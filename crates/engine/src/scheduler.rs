@@ -10,8 +10,8 @@
 //!   states on the Table-1 `[4,7,4,4,3,5]` register — therefore stop
 //!   head-of-line-blocking cheap ones that arrived later.
 //! * [`SchedulingPolicy::Fifo`] is strict submission order, the behaviour
-//!   of the original batch queue; kept as the baseline the streaming
-//!   benchmark compares against.
+//!   of the original batch queue. Tests use it to fix the pop order of
+//!   bounded admission, and the stress floods run under both policies.
 //!
 //! The choice of policy never changes *what* is computed — every job is
 //! independent and bit-identical to the sequential pipeline — only *when*
@@ -104,8 +104,9 @@ pub enum SchedulingPolicy {
 pub enum Aging {
     /// No aging: the raw size-aware key, frozen for the job's lifetime.
     /// A queued large job can then be deferred indefinitely by a sustained
-    /// faster-than-service stream of smaller jobs — kept only as the
-    /// baseline for fairness measurements (`engine_bench --fairness`).
+    /// faster-than-service stream of smaller jobs. It is the no-aging
+    /// control of the starvation tests, and it keeps the pop orders of
+    /// the scheduler's unit tests independent of time.
     Off,
     /// Every full epoch of queue wait halves a job's effective cost, and
     /// every [`Aging::PRIORITY_PROMOTION_EPOCHS`] epochs promote it one
@@ -308,7 +309,16 @@ pub(crate) struct Scheduler {
     /// (bounded queues only). Notified broadly — every waiter rechecks
     /// whether it is the serving ticket.
     space: Condvar,
+    /// Test-only: called with every job `pop` hands out, on the popping
+    /// worker's thread, before the worker runs it. Tests set it to read
+    /// the pop order and to hold the worker at a gate they control.
+    #[cfg(test)]
+    pub(crate) on_pop: std::sync::OnceLock<PopHook>,
 }
+
+/// The type of [`Scheduler::on_pop`].
+#[cfg(test)]
+pub(crate) type PopHook = Box<dyn Fn(&Job) + Send + Sync>;
 
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -336,6 +346,8 @@ impl Scheduler {
             shared: Mutex::new(Shared::default()),
             available: Condvar::new(),
             space: Condvar::new(),
+            #[cfg(test)]
+            on_pop: std::sync::OnceLock::new(),
         }
     }
 
@@ -488,6 +500,10 @@ impl Scheduler {
                 // A slot freed up: wake the parked ticket holders so the
                 // owed one (and only it) can take the slot.
                 self.space.notify_all();
+                #[cfg(test)]
+                if let Some(on_pop) = self.on_pop.get() {
+                    on_pop(&queued.job);
+                }
                 return Some(queued.job);
             }
             if shared.closed {

@@ -15,7 +15,6 @@
 //! repository's vendored-dependency constraint.
 
 use std::fmt;
-use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, TryRecvError};
 use std::sync::Arc;
@@ -28,7 +27,7 @@ use crate::cache::{canonical_key, CachedPreparation, CanonicalKey, CircuitCache}
 use crate::engine::{EngineConfig, EngineStats};
 use crate::request::{PrepareReport, PrepareRequest, StatePayload};
 use crate::scheduler::{Job, PushRefusal, Scheduler};
-use crate::snapshot::{self, SnapshotError, SnapshotLoad, SnapshotStats};
+use crate::snapshot::{self, SnapshotError, SnapshotLoad};
 
 /// Unified error type of the service: either the pipeline itself failed,
 /// or the service refused / stopped before (or instead of) running the
@@ -629,18 +628,6 @@ impl EngineService {
         self.shared.warm_start_load.as_ref()
     }
 
-    /// Snapshots the cache's current contents to `path` (atomically: a
-    /// temp file renamed into place). The service keeps running; entries
-    /// inserted while the snapshot is being written may or may not be
-    /// included.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError::Io`] if the file cannot be written.
-    pub fn snapshot_to(&self, path: &Path) -> Result<SnapshotStats, SnapshotError> {
-        snapshot::save(&self.shared.cache, path)
-    }
-
     /// A queued miss and the handle its worker will resolve.
     fn queued(
         request: PrepareRequest,
@@ -822,7 +809,7 @@ impl Drop for EngineService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::Priority;
+    use crate::scheduler::{PopHook, Priority, SchedulingPolicy};
     use mdq_core::PrepareOptions;
     use mdq_num::radix::Dims;
     use mdq_states::{ghz, w_state};
@@ -1174,6 +1161,135 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.rejected, rejections);
         assert_eq!(stats.high_watermark, 1, "rejections imply a full queue");
+        service.shutdown();
+    }
+
+    /// Bounded admission is FIFO-fair end to end. A gate on the scheduler's
+    /// pop holds the single worker on a first job while a second takes the
+    /// one queue slot, so three blocking submitters park one at a time,
+    /// each observed through `EngineStats::parked` before the next arrives,
+    /// which pins their ticket order. A burst of `try_submit`s is refused
+    /// rather than allowed to steal a slot owed to a parked submitter. Once
+    /// the gate opens, the FIFO worker pops the parked submissions in
+    /// ticket order, and each reports its park as `admission_wait`.
+    #[test]
+    fn parked_submitters_admit_in_ticket_order_with_observable_waits() {
+        let service = EngineService::new(
+            EngineConfig::default()
+                .with_workers(1)
+                .with_queue_depth(1)
+                .with_scheduling(SchedulingPolicy::Fifo)
+                .without_cache(),
+        );
+        // Every job has a register of its own, so the registers the worker
+        // pops spell out the pop order.
+        let request = |register: &[usize]| {
+            let d = dims(register);
+            PrepareRequest::dense(d.clone(), ghz(&d), PrepareOptions::exact())
+        };
+        let (blocker, filler) = (request(&[3, 3]), request(&[2, 2]));
+        let submissions: Vec<_> = (0..3).map(|id| request(&[2, 3 + id])).collect();
+
+        let gate = Arc::new(std::sync::Mutex::new(()));
+        let (popped_tx, popped) = channel();
+        let on_pop: PopHook = {
+            let gate = Arc::clone(&gate);
+            Box::new(move |job: &Job| {
+                let _ = popped_tx.send(job.request.dims.clone());
+                // Poisoned when the test failed while holding the gate,
+                // which opens it all the same.
+                drop(gate.lock());
+            })
+        };
+        assert!(service.shared.scheduler.on_pop.set(on_pop).is_ok());
+
+        let held = gate.lock().expect("the gate is fresh");
+        let blocker_handle = service.submit(blocker.clone());
+        // The worker holds the blocker at the gate, so the filler takes
+        // the single queue slot.
+        let first = popped.recv_timeout(Duration::from_secs(30));
+        assert_eq!(first.expect("the worker pops the blocker"), blocker.dims);
+        let filler_handle = service.submit(filler.clone());
+
+        let mut refused = 0u64;
+        let mut parked_seen = 0;
+        let submitter_handles: Vec<JobHandle> = thread::scope(|scope| {
+            // Moved in so that a failed assertion opens the gate before
+            // the scope joins the parked submitters.
+            let held = held;
+            let mut submitters = Vec::new();
+            for (id, submission) in submissions.iter().enumerate() {
+                let service = &service;
+                submitters.push(scope.spawn(move || service.submit(submission.clone())));
+                // Park the submitters strictly one at a time: their
+                // tickets, and so their arrival order, are pinned.
+                let deadline = Instant::now() + Duration::from_secs(30);
+                while service.stats().parked < id + 1 {
+                    assert!(Instant::now() < deadline, "submitter {id} must park");
+                    thread::yield_now();
+                }
+            }
+            parked_seen = service.stats().parked;
+            // With the queue full and three ticket holders parked,
+            // non-blocking admission must be refused: a probe can never
+            // steal a slot owed to a parked submitter.
+            for _ in 0..64 {
+                match service.try_submit(filler.clone()) {
+                    Ok(_) => panic!("try_submit must not steal a slot owed to a parked submitter"),
+                    Err(refusal) => {
+                        assert!(
+                            matches!(refusal.error, EngineError::QueueFull { limit: 1, .. }),
+                            "unexpected refusal: {:?}",
+                            refusal.error
+                        );
+                        refused += 1;
+                    }
+                }
+            }
+            drop(held);
+            submitters
+                .into_iter()
+                .map(|s| s.join().expect("submitter thread never panics"))
+                .collect()
+        });
+
+        assert_eq!(parked_seen, 3, "all three parked");
+        assert_eq!(refused, 64);
+        blocker_handle.wait().expect("blocker completes");
+        filler_handle.wait().expect("filler completes");
+        for handle in submitter_handles {
+            let report = handle.wait().expect("parked submission completes");
+            assert!(
+                !report.admission_wait.is_zero(),
+                "a parked submitter's wait is reported as admission_wait"
+            );
+            assert!(
+                report.queue_wait >= report.admission_wait,
+                "queue_wait is measured from submission and so includes the park"
+            );
+        }
+        // Every job has resolved, so every pop has been recorded.
+        let rest: Vec<Dims> = popped.try_iter().collect();
+        assert_eq!(rest.len(), 4, "filler and three parked submissions");
+        assert_eq!(rest[0], filler.dims, "the queued filler pops first");
+        let order: Vec<usize> = rest[1..]
+            .iter()
+            .map(|register| {
+                submissions
+                    .iter()
+                    .position(|submission| &submission.dims == register)
+                    .expect("a parked submission")
+            })
+            .collect();
+        assert_eq!(
+            order,
+            vec![0, 1, 2],
+            "parked submitters admit strictly in ticket (arrival) order"
+        );
+        let stats = service.stats();
+        assert_eq!(stats.rejected, refused);
+        assert_eq!(stats.parked, 0, "no submitter left parked");
+        assert_eq!(stats.jobs, 5, "blocker + filler + three parked submissions");
         service.shutdown();
     }
 

@@ -702,117 +702,6 @@ fn aging_promotes_a_low_priority_probe_past_a_normal_flood() {
     );
 }
 
-/// Tentpole: FIFO-fair bounded admission end-to-end. With the single
-/// worker pinned and the one queue slot taken, three blocking submitters
-/// park one at a time (each observed via `EngineStats::parked` before the
-/// next arrives, so their ticket order is pinned); a concurrent burst of
-/// `try_submit`s is refused rather than allowed to steal the slots the
-/// parked submitters are owed; and as the worker frees slots the parked
-/// submitters admit strictly in ticket (arrival) order, each reporting its
-/// park time as `PrepareReport::admission_wait`.
-#[test]
-fn parked_submitters_admit_in_ticket_order_with_observable_waits() {
-    let blocker_dims = dims(&[4, 7, 4, 4, 3, 5]);
-    let small_dims = dims(&[2, 2]);
-    let service = EngineService::new(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_queue_depth(1)
-            .with_scheduling(SchedulingPolicy::Fifo)
-            .without_cache(),
-    );
-    let mut rng = StdRng::seed_from_u64(0xF41);
-    // Pin the worker on an expensive job, then take the single queue slot.
-    let blocker = service.submit(PrepareRequest::dense(
-        blocker_dims.clone(),
-        random_state(&blocker_dims, RandomKind::ReImUniform, &mut rng),
-        PrepareOptions::exact(),
-    ));
-    let filler = service.submit(PrepareRequest::dense(
-        small_dims.clone(),
-        ghz(&small_dims),
-        PrepareOptions::exact(),
-    ));
-    let small = PrepareRequest::dense(
-        small_dims.clone(),
-        ghz(&small_dims),
-        PrepareOptions::exact(),
-    );
-
-    let admission_order = std::sync::Mutex::new(Vec::new());
-    let refused = AtomicU64::new(0);
-    let parked_seen = AtomicU64::new(0);
-    let submitter_reports: Vec<JobHandle> = thread::scope(|scope| {
-        let mut submitters = Vec::new();
-        for id in 0..3usize {
-            let service = &service;
-            let small = &small;
-            let admission_order = &admission_order;
-            submitters.push(scope.spawn(move || {
-                let handle = service.submit(small.clone());
-                // `submit` returns only once the job is enqueued, and the
-                // ticket queue admits in arrival order — so the order of
-                // these records is the admission order.
-                admission_order.lock().unwrap().push(id);
-                handle
-            }));
-            // Park the submitters strictly one at a time: their tickets
-            // (and so their arrival order) are pinned, not racy.
-            let deadline = Instant::now() + Duration::from_secs(30);
-            while service.stats().parked < id + 1 {
-                assert!(Instant::now() < deadline, "submitter {id} must park");
-                thread::yield_now();
-            }
-        }
-        parked_seen.store(service.stats().parked as u64, Ordering::Relaxed);
-        // With three ticket holders parked, non-blocking admission must be
-        // refused throughout — whether the queue is momentarily full or a
-        // freed slot is owed to a ticket, a probe can never steal it.
-        for _ in 0..64 {
-            match service.try_submit(small.clone()) {
-                Ok(_) => panic!("try_submit must not steal a slot owed to a parked submitter"),
-                Err(refusal) => {
-                    assert!(
-                        matches!(refusal.error, EngineError::QueueFull { limit: 1, .. }),
-                        "unexpected refusal: {:?}",
-                        refusal.error
-                    );
-                    refused.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
-        submitters
-            .into_iter()
-            .map(|s| s.join().expect("submitter thread never panics"))
-            .collect()
-    });
-
-    assert_eq!(parked_seen.load(Ordering::Relaxed), 3, "all three parked");
-    assert_eq!(
-        *admission_order.lock().unwrap(),
-        vec![0, 1, 2],
-        "parked submitters admit strictly in ticket (arrival) order"
-    );
-    blocker.wait().expect("blocker completes");
-    filler.wait().expect("filler completes");
-    for handle in submitter_reports {
-        let report = handle.wait().expect("parked submission completes");
-        assert!(
-            !report.admission_wait.is_zero(),
-            "a parked submitter's wait is reported as admission_wait"
-        );
-        assert!(
-            report.queue_wait >= report.admission_wait,
-            "queue_wait is measured from submission and so includes the park"
-        );
-    }
-    let stats = service.stats();
-    assert_eq!(stats.rejected, refused.load(Ordering::Relaxed));
-    assert_eq!(stats.parked, 0, "no submitter left parked");
-    assert_eq!(stats.jobs, 5, "blocker + filler + three parked submissions");
-    service.shutdown();
-}
-
 /// Satellite regression: a malformed payload — here an empty-support
 /// sparse request, whose estimated cost used to be 0 (sorting ahead of
 /// every real job) — is rejected **at admission** with the same error the
