@@ -13,10 +13,10 @@
 //!   values; its size is the "DistinctC" metric of the paper's Table 1.
 //!   Each decision-diagram arena owns exactly one plain table and
 //!   canonicalizes every edge weight through it.
-//! * [`hash`] — the stable 64-bit FNV-1a hash behind every persisted or
-//!   transmitted hash value in the workspace (cache fingerprints, ring
-//!   points, envelope checksums), and the fast Fx hasher behind the
-//!   process-local decision-diagram tables.
+//! * [`hash`] — the stable 64-bit FNV-1a hash behind every persisted
+//!   identity in the workspace (cache fingerprints, ring points), the
+//!   word-at-a-time checksum of the transport envelope, and the fast Fx
+//!   hasher behind the process-local decision-diagram tables.
 //! * [`radix`] — mixed-radix index arithmetic for Hilbert spaces that are
 //!   tensor products of different local dimensions, including the
 //!   unreduced-tree edge-count formula behind the "Nodes" metric.

@@ -38,8 +38,10 @@ pub enum TransportError {
     },
     /// The payload's checksum did not match the envelope's.
     ///
-    /// FNV-1a multiplies by an odd prime, so any single corrupted payload
-    /// byte is *guaranteed* to trip this — there is no unlucky seed.
+    /// Every step of the [`checksum`](crate::checksum) is injective in the
+    /// word it folds and a bijection of its state, so any single corrupted
+    /// payload byte is *guaranteed* to trip this — there is no unlucky
+    /// seed.
     ChecksumMismatch {
         /// The checksum the envelope promised.
         expected: u64,

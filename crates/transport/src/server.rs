@@ -6,18 +6,20 @@
 //! Everything is std: a nonblocking accept loop polled against a stop
 //! flag, a bounded `sync_channel` handing accepted connections to the
 //! pool (so a connection flood backpressures into the kernel's listen
-//! queue instead of spawning unbounded threads), and per-connection
-//! socket deadlines doing double duty as the slow-loris guard.
+//! queue instead of spawning unbounded threads), per-connection socket
+//! deadlines doing double duty as the slow-loris guard, and one slot per
+//! handler holding a second handle on its connection, through which a
+//! shutdown wakes a handler blocked on an idle client.
 
 use std::fs;
 use std::io;
-use std::net::TcpListener;
+use std::net::{Shutdown, TcpListener};
 #[cfg(unix)]
 use std::os::unix::net::UnixListener;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -247,6 +249,16 @@ impl Listener {
     }
 }
 
+/// A second handle on the connection one handler thread is serving, if
+/// any; a drain closes its read half.
+type ConnectionSlot = Mutex<Option<WireStream>>;
+
+/// Locks a slot. Every write stores a whole `Option`, so a slot is
+/// consistent even after a panic elsewhere poisoned it.
+fn lock(slot: &ConnectionSlot) -> MutexGuard<'_, Option<WireStream>> {
+    slot.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A serving `mdqwire` endpoint over TCP or a unix socket.
 ///
 /// Owns its [`Backend`]: [`shutdown`](Self::shutdown) stops accepting,
@@ -259,6 +271,7 @@ pub struct WireServer {
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     handlers: Vec<JoinHandle<()>>,
+    serving: Arc<[ConnectionSlot]>,
     stats: Arc<StatsInner>,
     unix_path: Option<PathBuf>,
 }
@@ -321,14 +334,20 @@ impl WireServer {
             let stats = Arc::clone(&stats);
             thread::spawn(move || accept_loop(&listener, &tx, &stop, &stats))
         };
+        let serving: Arc<[ConnectionSlot]> = (0..config.handler_threads)
+            .map(|_| Mutex::new(None))
+            .collect();
         let handlers = (0..config.handler_threads)
-            .map(|_| {
+            .map(|index| {
                 let rx = Arc::clone(&rx);
+                let serving = Arc::clone(&serving);
                 let backend = Arc::clone(&backend);
                 let config = config.clone();
                 let stop = Arc::clone(&stop);
                 let stats = Arc::clone(&stats);
-                thread::spawn(move || handler_loop(&rx, &backend, &config, &stop, &stats))
+                thread::spawn(move || {
+                    handler_loop(&rx, &serving[index], &backend, &config, &stop, &stats);
+                })
             })
             .collect();
 
@@ -338,6 +357,7 @@ impl WireServer {
             stop,
             accept: Some(accept),
             handlers,
+            serving,
             stats,
             unix_path,
         })
@@ -365,6 +385,16 @@ impl WireServer {
     /// Stops accepting, drains in-flight connections, joins the pool,
     /// and shuts the backend down gracefully (router shards write their
     /// warm snapshots here).
+    ///
+    /// The drain does not wait out read deadlines: it shuts down the read
+    /// half of every connection a handler is serving. A handler waiting
+    /// on an idle client then sees end of stream and closes the
+    /// connection at once. A request already being served still gets its
+    /// reply, since the write half stays open, and so does a request
+    /// whose bytes had all arrived. A frame only partly received is
+    /// dropped without a reply: the handler reads the bytes already
+    /// queued, sees end of stream, and closes the connection, and the
+    /// client's call fails with a retryable transport error.
     pub fn shutdown(self) {
         if let Some(backend) = self.drain_and_take() {
             backend.shutdown();
@@ -389,11 +419,19 @@ impl WireServer {
         Some(Arc::try_unwrap(backend).unwrap_or_else(|_| panic!("backend Arc leaked")))
     }
 
-    /// Stops the accept loop and joins every thread. Idempotent.
+    /// Stops the accept loop, wakes handlers blocked on idle clients,
+    /// and joins every thread. Idempotent.
     fn drain(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept.take() {
             let _ = handle.join();
+        }
+        // Handlers check the stop flag only between frames; one blocked
+        // reading from an idle client would sleep out its read deadline.
+        for slot in self.serving.iter() {
+            if let Some(stream) = lock(slot).as_ref() {
+                let _ = stream.shutdown_half(Shutdown::Read);
+            }
         }
         for handle in self.handlers.drain(..) {
             let _ = handle.join();
@@ -441,6 +479,7 @@ fn accept_loop(
 /// until the channel closes.
 fn handler_loop(
     rx: &Mutex<Receiver<WireStream>>,
+    slot: &ConnectionSlot,
     backend: &Backend,
     config: &ServerConfig,
     stop: &AtomicBool,
@@ -452,7 +491,12 @@ fn handler_loop(
             guard.recv()
         };
         let Ok(stream) = next else { break };
+        // Filled before `handle_connection` first reads the stop flag, so
+        // a drain either finds this handle or has already raised the flag.
+        // A failed `dup` leaves only the read deadline to end an idle wait.
+        *lock(slot) = stream.try_clone().ok();
         handle_connection(stream, backend, config, stop, stats);
+        *lock(slot) = None;
     }
 }
 
@@ -546,3 +590,75 @@ const _: () = {
     assert_send_sync::<ServerStats>();
     assert_send_sync::<Backend>();
 };
+
+#[cfg(test)]
+mod tests {
+    use std::io::Read;
+    use std::time::Instant;
+
+    use mdq_core::PrepareOptions;
+    use mdq_engine::{EngineConfig, PrepareRequest};
+    use mdq_num::radix::Dims;
+    use mdq_states::ghz;
+
+    use super::*;
+    use crate::{ClientConfig, WireClient};
+
+    fn serve(read_timeout: Duration) -> WireServer {
+        let backend = Backend::Service(EngineService::new(EngineConfig::default().with_workers(1)));
+        let config = ServerConfig::new().with_read_timeout(read_timeout);
+        WireServer::bind(&ServerAddr::loopback(), backend, config).expect("bind loopback")
+    }
+
+    fn ghz_frame() -> RequestFrame {
+        let dims = Dims::new(vec![2, 3]).expect("valid register");
+        let request = PrepareRequest::dense(dims.clone(), ghz(&dims), PrepareOptions::exact());
+        RequestFrame {
+            tenant: None,
+            request,
+        }
+    }
+
+    #[test]
+    fn shutdown_closes_an_idle_connection_without_waiting_out_its_deadline() {
+        let server = serve(Duration::from_secs(5));
+        let mut client =
+            WireClient::connect(server.local_addr().clone(), ClientConfig::new()).expect("connect");
+        let frame = ghz_frame();
+        let reply = client.call(&frame).expect("round trip");
+        assert!(reply.report().is_some(), "the served call completes");
+
+        // The client stays connected and silent: its handler is blocked
+        // reading the next frame.
+        let started = Instant::now();
+        server.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "shutdown took {took:?}");
+
+        let outcome = client.call(&frame);
+        assert!(
+            matches!(&outcome, Err(e) if e.is_retryable()),
+            "a call on the closed connection resolves typed, got {outcome:?}"
+        );
+    }
+
+    #[test]
+    fn a_silent_peer_is_still_closed_by_the_read_deadline() {
+        let server = serve(Duration::from_millis(100));
+        let mut silent =
+            WireStream::connect(server.local_addr(), Duration::from_secs(2)).expect("connect");
+        silent
+            .set_timeouts(Some(Duration::from_secs(5)), None)
+            .expect("client deadline");
+        let mut byte = [0u8; 1];
+        assert_eq!(
+            silent
+                .read(&mut byte)
+                .expect("the server closes, not resets"),
+            0,
+            "the server closes a silent connection at its read deadline"
+        );
+        assert_eq!(server.stats().timeouts, 1);
+        server.shutdown();
+    }
+}

@@ -5,7 +5,7 @@
 
 use std::fmt;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 #[cfg(unix)]
@@ -108,6 +108,26 @@ impl WireStream {
         Ok((WireStream::Unix(a), WireStream::Unix(b)))
     }
 
+    /// A second handle on the same connection (`dup(2)`).
+    pub(crate) fn try_clone(&self) -> io::Result<WireStream> {
+        match self {
+            WireStream::Tcp(s) => s.try_clone().map(WireStream::Tcp),
+            #[cfg(unix)]
+            WireStream::Unix(s) => s.try_clone().map(WireStream::Unix),
+        }
+    }
+
+    /// Shuts down one or both halves of the connection. After
+    /// `Shutdown::Read`, a read blocked on any handle returns the bytes
+    /// already queued and then end of stream; writes still go out.
+    pub(crate) fn shutdown_half(&self, how: Shutdown) -> io::Result<()> {
+        match self {
+            WireStream::Tcp(s) => s.shutdown(how),
+            #[cfg(unix)]
+            WireStream::Unix(s) => s.shutdown(how),
+        }
+    }
+
     /// Arms per-connection read/write deadlines. `None` means block
     /// forever (never used by the server, whose read timeout doubles as
     /// its slow-loris guard).
@@ -160,11 +180,7 @@ impl Write for WireStream {
 
 impl Transport for WireStream {
     fn shutdown(&self) -> io::Result<()> {
-        match self {
-            WireStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-            #[cfg(unix)]
-            WireStream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-        }
+        self.shutdown_half(Shutdown::Both)
     }
 }
 

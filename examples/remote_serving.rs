@@ -1,6 +1,6 @@
 //! Network serving over a unix-domain socket: a `WireServer` and a
 //! blocking `WireClient` in one process, speaking `mdqwire` frames under
-//! the checksummed `mdqtx` envelope.
+//! the checksummed `mdqt2` envelope.
 //!
 //! A two-shard router serves behind the socket. The client round-trips a
 //! small workload (every circuit raw-bit identical to the one-shot
