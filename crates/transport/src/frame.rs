@@ -18,12 +18,11 @@
 //! worst case — a silently different but still-parseable request. Two
 //! payloads of one length that differ in exactly one byte never share a
 //! checksum: single-byte corruption is caught deterministically, not
-//! probabilistically. A length change is the truncation path's to catch.
+//! probabilistically.
 //!
-//! The tag names the checksum. The envelope carries no version field, so
-//! the `mdqt2` tag is what changed when the checksum went from byte-wise
-//! FNV-1a (`mdqtx`) to [`mdq_num::hash::checksum`]; a peer still framing
-//! under `mdqtx` is refused with a
+//! The tag names the checksum: the envelope carries no version field, so
+//! a new checksum takes a new tag. A peer still framing under `mdqtx`,
+//! the byte-wise FNV-1a tag, is refused with a
 //! [`BadEnvelope`](TransportError::BadEnvelope), which no retry fixes.
 
 use std::io::{self, Read, Write};

@@ -390,11 +390,11 @@ impl WireServer {
     /// half of every connection a handler is serving. A handler waiting
     /// on an idle client then sees end of stream and closes the
     /// connection at once. A request already being served still gets its
-    /// reply, since the write half stays open, and so does a request
-    /// whose bytes had all arrived. A frame only partly received is
-    /// dropped without a reply: the handler reads the bytes already
-    /// queued, sees end of stream, and closes the connection, and the
-    /// client's call fails with a retryable transport error.
+    /// reply, since the write half stays open. A frame only partly
+    /// received when the read half closes is dropped without a reply: the
+    /// handler reads the bytes already queued, sees end of stream, and
+    /// closes the connection, and the client's call fails with a
+    /// retryable transport error.
     pub fn shutdown(self) {
         if let Some(backend) = self.drain_and_take() {
             backend.shutdown();
