@@ -77,8 +77,9 @@ impl From<ApproxError> for PrepareError {
 }
 
 /// Serving-time verification policy: whether a synthesized circuit must be
-/// replayed by decision-diagram simulation ([`Preparer::replay`]) and
-/// checked against the requested target before it is handed to the caller.
+/// replayed by decision-diagram simulation ([`Preparer::verify_dense`] /
+/// [`Preparer::verify_sparse`]) and checked against the requested target
+/// before it is handed to the caller.
 ///
 /// The pipeline itself never acts on this — [`prepare`] produces the same
 /// circuit either way — but serving layers (the `mdq-engine` service) read
@@ -436,7 +437,8 @@ pub struct Preparer {
     /// separately because a job's own arena is still holding its result
     /// while the replay runs.
     replay_scratch: Option<DdArena>,
-    /// Memo tables for diagram replays ([`Preparer::replay`]).
+    /// Memo tables for verification replays ([`Preparer::verify_dense`],
+    /// [`Preparer::verify_sparse`]).
     cache: ComputeCache,
     /// Resource cap applied to every build (service deployments).
     node_limit: Option<usize>,
@@ -612,20 +614,9 @@ impl Preparer {
         Ok(self.recycle(result))
     }
 
-    /// Replays a preparation circuit on the ground-state diagram through
-    /// this preparer's [`ComputeCache`] — the decision-diagram verification
-    /// path, with the memo tables reused across replays.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ApplyError`] if an instruction cannot be applied to a
-    /// diagram (e.g. below-target controls) or the arena overflows.
-    pub fn replay(&mut self, circuit: &Circuit) -> Result<StateDd, ApplyError> {
-        StateDd::ground(circuit.dims()).apply_circuit_with(circuit, &mut self.cache)
-    }
-
-    /// The verification-internal replay: like [`Preparer::replay`], but
-    /// built into this preparer's reclaimed replay arena and left
+    /// The verification replay: applies `circuit` to the ground-state
+    /// diagram through this preparer's [`ComputeCache`] (memo tables reused
+    /// across replays), built into its reclaimed replay arena and left
     /// uncompacted (the caller evaluates it once, then hands the arena
     /// back through [`Preparer::recycle_replay`]).
     fn replay_recycled(&mut self, circuit: &Circuit) -> Result<StateDd, ApplyError> {
@@ -645,10 +636,10 @@ impl Preparer {
 
     /// Replay-verifies a synthesized circuit against the *dense* target it
     /// was prepared from: applies the circuit to the ground-state diagram
-    /// ([`Preparer::replay`], memo tables reused) and measures the fidelity
-    /// with `target` — the serving-time correctness check advocated by
-    /// DD-based simulation packages, without ever touching a dense
-    /// simulator.
+    /// ([`StateDd::apply_circuit_consuming`], memo tables reused) and
+    /// measures the fidelity with `target` — the serving-time correctness
+    /// check advocated by DD-based simulation packages, without ever
+    /// touching a dense simulator.
     ///
     /// `target` must be the amplitude vector of the circuit's register
     /// (length `circuit.dims().space_size()`); it does not have to be
@@ -1195,21 +1186,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(again.circuit, one_shot.circuit);
-    }
-
-    #[test]
-    fn preparer_replay_reaches_target_state() {
-        let d = dims(&[3, 4, 2]);
-        let target = mdq_states::sparse::ghz(&d);
-        let mut preparer = Preparer::new();
-        let result = preparer
-            .prepare_sparse(&d, &target, PrepareOptions::exact())
-            .unwrap();
-        let replayed = preparer.replay(&result.circuit).unwrap();
-        assert!((replayed.fidelity(&result.dd) - 1.0).abs() < 1e-9);
-        // Second replay reuses the preparer's memo tables.
-        let again = preparer.replay(&result.circuit).unwrap();
-        assert!((again.fidelity(&result.dd) - 1.0).abs() < 1e-9);
     }
 
     #[test]

@@ -238,7 +238,7 @@ struct Frame {
     up: Complex,
 }
 
-/// The control-path editor behind [`StateDd::apply_circuit_with`].
+/// The control-path editor behind [`StateDd::apply_circuit_consuming`].
 ///
 /// Full-path-controlled instructions touch exactly one root path plus the
 /// subtree at their target; consecutive instructions (synthesis order is a
@@ -637,7 +637,7 @@ impl StateDd {
 
     /// Applies an arbitrary `d×d` unitary on `target` under `controls`, in
     /// place — the shared engine behind [`StateDd::apply_mut_with`] and the
-    /// gate-fused [`StateDd::apply_circuit_with`] replay path.
+    /// gate-fused [`StateDd::apply_circuit_consuming`] replay path.
     fn apply_matrix_mut_with(
         &mut self,
         target: usize,
@@ -737,41 +737,22 @@ impl StateDd {
     ///
     /// Panics if the circuit is defined over a different register.
     pub fn apply_circuit(&self, circuit: &mdq_circuit::Circuit) -> Result<StateDd, ApplyError> {
-        let mut cache = ComputeCache::new();
-        self.apply_circuit_with(circuit, &mut cache)
-    }
-
-    /// [`StateDd::apply_circuit`] with a caller-provided [`ComputeCache`],
-    /// so a worker replaying many circuits (e.g. verification jobs in the
-    /// engine service) reuses one set of memo tables across all of them.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`ApplyError`]; the circuit's register must match
-    /// the diagram's.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit is defined over a different register.
-    pub fn apply_circuit_with(
-        &self,
-        circuit: &mdq_circuit::Circuit,
-        cache: &mut ComputeCache,
-    ) -> Result<StateDd, ApplyError> {
         Ok(self
             .clone()
-            .apply_circuit_consuming(circuit, cache)?
+            .apply_circuit_consuming(circuit, &mut ComputeCache::new())?
             .compacted())
     }
 
-    /// The zero-copy core of [`StateDd::apply_circuit_with`]: consumes the
-    /// diagram (no arena clone) and skips the final compaction, so the
-    /// result's arena may still hold superseded nodes — queries
-    /// ([`StateDd::amplitude`], [`StateDd::to_amplitudes`],
-    /// [`StateDd::live_node_count`]) are unaffected, but
-    /// [`StateDd::node_count`] counts the garbage too. This is the replay
-    /// path of verification workers, which evaluate the result once and
-    /// then recycle the arena.
+    /// The zero-copy core of [`StateDd::apply_circuit`], with a
+    /// caller-provided [`ComputeCache`]: consumes the diagram (no arena
+    /// clone) and skips the final compaction, so the result's arena may
+    /// still hold superseded nodes — queries ([`StateDd::amplitude`],
+    /// [`StateDd::to_amplitudes`], [`StateDd::live_node_count`]) are
+    /// unaffected, but [`StateDd::node_count`] counts the garbage too.
+    /// This is the replay path of verification
+    /// (`Preparer::verify_dense` and `verify_sparse` in `mdq-core`),
+    /// which reuses one set of memo tables across replays, evaluates each
+    /// result once and then recycles the arena.
     ///
     /// # Errors
     ///
@@ -1118,7 +1099,7 @@ mod tests {
 
     /// A synthesized-shape circuit: full control paths, DFS context order,
     /// zero-angle (identity) rotations mixed in — the shape the fused
-    /// path editor of `apply_circuit_with` is built for.
+    /// path editor of `apply_circuit_consuming` is built for.
     fn synthesized_shape_circuit(d: &Dims) -> Circuit {
         let mut c = Circuit::new(d.clone());
         c.push(Instruction::local(0, Gate::givens(0, 1, 0.7, 0.3)))

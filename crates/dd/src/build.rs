@@ -37,6 +37,10 @@ pub enum BuildError {
     },
     /// The amplitude vector has (numerically) zero norm.
     ZeroNorm,
+    /// Every amplitude is finite, but their squared norm `Σ|a|²` (for a
+    /// sparse list, after duplicate indices are summed) overflows `f64`,
+    /// so the state cannot be normalized.
+    NormOverflow,
     /// An amplitude was not finite.
     NotFinite {
         /// Index of the offending amplitude.
@@ -73,6 +77,7 @@ impl fmt::Display for BuildError {
                 write!(f, "amplitude vector has length {got}, expected {expected}")
             }
             BuildError::ZeroNorm => write!(f, "amplitude vector has zero norm"),
+            BuildError::NormOverflow => write!(f, "amplitude vector's squared norm overflows"),
             BuildError::NotFinite { index } => {
                 write!(f, "amplitude at index {index} is not finite")
             }
@@ -334,6 +339,9 @@ fn flatten_sparse(
     }
     dedup.retain(|(_, a)| !a.is_zero(tol));
     let norm_sqr: f64 = dedup.iter().map(|(_, a)| a.norm_sqr()).sum();
+    if !norm_sqr.is_finite() {
+        return Err(BuildError::NormOverflow);
+    }
     if norm_sqr.sqrt() <= tol {
         return Err(BuildError::ZeroNorm);
     }
@@ -344,7 +352,7 @@ impl StateDd {
     /// Checks a dense amplitude vector against `dims` exactly as
     /// [`StateDd::from_amplitudes`] would, without building anything: the
     /// first failing check wins, in the same order (length, finiteness,
-    /// norm).
+    /// norm overflow, zero norm).
     ///
     /// Per-worker recycling loops call this *before* handing their scratch
     /// arena to [`StateDd::from_amplitudes_in`], so a malformed request
@@ -368,6 +376,9 @@ impl StateDd {
             return Err(BuildError::NotFinite { index });
         }
         let norm = mdq_num::norm(amplitudes);
+        if !norm.is_finite() {
+            return Err(BuildError::NormOverflow);
+        }
         if norm <= opts.tolerance.value() {
             return Err(BuildError::ZeroNorm);
         }
@@ -375,9 +386,9 @@ impl StateDd {
     }
 
     /// Checks a sparse entry list exactly as [`StateDd::from_sparse`] would
-    /// (digit counts, digit ranges, finiteness, zero total norm after
-    /// duplicate summing), without building anything — the sparse
-    /// counterpart of [`StateDd::validate_amplitudes`].
+    /// (digit counts, digit ranges, finiteness, then norm overflow and zero
+    /// total norm after duplicate summing), without building anything —
+    /// the sparse counterpart of [`StateDd::validate_amplitudes`].
     ///
     /// # Errors
     ///

@@ -5,7 +5,6 @@ use std::path::PathBuf;
 use std::thread;
 
 use crate::cache::CacheStats;
-use crate::scheduler::{Aging, SchedulingPolicy};
 
 /// Configuration of an [`EngineService`](crate::EngineService).
 #[derive(Debug, Clone)]
@@ -27,18 +26,6 @@ pub struct EngineConfig {
     /// total can exceed this by up to one entry per shard — see
     /// [`CircuitCache::with_capacity`](crate::CircuitCache::with_capacity).
     pub cache_capacity: Option<usize>,
-    /// Queue discipline of the scheduler (size-aware by default; FIFO is
-    /// strict submission order).
-    pub scheduling: SchedulingPolicy,
-    /// Wait-time aging of the size-aware scheduler — the starvation guard
-    /// (on by default at [`Aging::DEFAULT_EPOCH`]): every epoch of queue
-    /// wait halves a job's effective cost, and long waits eventually
-    /// promote it across [`Priority`](crate::Priority) classes, so no
-    /// accepted job can be deferred indefinitely by a stream of smaller or
-    /// higher-priority work. Ignored under [`SchedulingPolicy::Fifo`],
-    /// which is starvation-free by construction. See
-    /// [`Aging`](crate::Aging) for the tuning trade-off.
-    pub aging: Aging,
     /// Admission bound on the scheduler queue (`None` is unbounded, the
     /// default): with at most this many jobs queued,
     /// [`EngineService::try_submit`](crate::EngineService::try_submit)
@@ -61,8 +48,9 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     /// One worker per available core (1 when parallelism is unknown), a
-    /// 16-shard unbounded cache, caching enabled, no node cap, size-aware
-    /// scheduling.
+    /// 16-shard unbounded cache, caching enabled, no node cap, an
+    /// unbounded queue and no warm start. The queue order is not
+    /// configurable: see the [`scheduler`](crate::scheduler) module.
     fn default() -> Self {
         EngineConfig {
             workers: thread::available_parallelism().map_or(1, usize::from),
@@ -70,8 +58,6 @@ impl Default for EngineConfig {
             cache_shards: 16,
             use_cache: true,
             cache_capacity: None,
-            scheduling: SchedulingPolicy::SizeAware,
-            aging: Aging::default(),
             queue_depth: None,
             warm_start: None,
         }
@@ -112,24 +98,6 @@ impl EngineConfig {
     #[must_use]
     pub fn with_cache_capacity(mut self, capacity: usize) -> Self {
         self.cache_capacity = Some(capacity);
-        self
-    }
-
-    /// Overrides the scheduler's queue discipline.
-    #[must_use]
-    pub fn with_scheduling(mut self, scheduling: SchedulingPolicy) -> Self {
-        self.scheduling = scheduling;
-        self
-    }
-
-    /// Overrides the size-aware scheduler's wait-time aging — the
-    /// starvation guard. [`Aging::Off`] restores the raw (frozen) sort key,
-    /// the no-aging control of the starvation tests; a smaller
-    /// [`Aging::HalveEvery`] epoch bounds queue waits tighter at the cost
-    /// of the small-job latency win. See [`EngineConfig::aging`].
-    #[must_use]
-    pub fn with_aging(mut self, aging: Aging) -> Self {
-        self.aging = aging;
         self
     }
 

@@ -17,7 +17,7 @@
 //!                                  ▼ miss: request + key                                          │
 //!  ── workers ──────────────── scheduler ─▶ worker 0 ─ Preparer { DdArena ♻, ComputeCache ♻ } ────┤
 //!                          (priority/size/ ─▶ worker n ─ …  pipeline ─▶ replay ─▶ ────────────────┘
-//!                           FIFO, bounded)        │
+//!                           aged, bounded)        │
 //!           miss: JobHandle ◀── per-job result channel
 //!     handle.wait() / try_wait() / wait_timeout()
 //! ```
@@ -32,15 +32,15 @@
 //!   resolving through a per-job channel for a queued miss, with
 //!   blocking, polling, and timeout waits. No external async runtime —
 //!   std mpsc + condvar only.
-//! * **Size-aware scheduling with wait-time aging** — the default
-//!   [`SchedulingPolicy::SizeAware`] orders by caller [`Priority`], then
-//!   by estimated job cost, so large Table-1 jobs stop head-of-line
-//!   blocking small ones; wait-time [`Aging`] (on by default) halves a
-//!   queued job's effective cost every epoch and eventually promotes it
-//!   across priority classes, so no accepted job starves under a
-//!   sustained small-job flood ([`scheduler`] module docs); `Fifo` is
-//!   strict submission order. Scheduling never changes results, only
-//!   queue waits ([`PrepareReport::queue_wait`]).
+//! * **Size-aware scheduling with wait-time aging** — the one queue
+//!   order: caller [`Priority`] first, then estimated job cost, then
+//!   submission order, so large Table-1 jobs stop head-of-line blocking
+//!   small ones. Every [`scheduler::AGING_EPOCH`] (20 ms) of queue wait
+//!   halves a job's effective cost, and every
+//!   [`scheduler::PRIORITY_PROMOTION_EPOCHS`] (32) epochs promote it one
+//!   priority class, so no accepted job starves under a sustained
+//!   small-job flood ([`scheduler`] module docs). Scheduling never
+//!   changes results, only queue waits ([`PrepareReport::queue_wait`]).
 //! * **Prepared-circuit cache, probed at admission** — requests are
 //!   fingerprinted by a content hash of the register, the
 //!   tolerance-quantized target amplitudes, and the pipeline options
@@ -73,8 +73,9 @@
 //!   observable.
 //! * **Verification mode** — [`PrepareRequest::with_verification`] makes
 //!   the worker replay the synthesized circuit by decision-diagram
-//!   simulation ([`Preparer::replay`](mdq_core::Preparer::replay)) and
-//!   compare the fidelity against the requested target; a
+//!   simulation ([`Preparer::verify_dense`](mdq_core::Preparer::verify_dense)
+//!   and [`Preparer::verify_sparse`](mdq_core::Preparer::verify_sparse))
+//!   and compare the fidelity against the requested target; a
 //!   [`VerificationReport`] rides on the [`PrepareReport`], jobs below the
 //!   floor fail with [`EngineError::VerificationFailed`], and cache
 //!   entries record whether they were verified — a verified request never
@@ -143,7 +144,7 @@ pub mod wire;
 pub use cache::{canonical_key, fingerprint_of, CacheStats, CanonicalKey, CircuitCache};
 pub use engine::{EngineConfig, EngineStats};
 pub use request::{PrepareReport, PrepareRequest, StatePayload};
-pub use scheduler::{Aging, Priority, SchedulingPolicy};
+pub use scheduler::Priority;
 pub use service::{AdmissionError, EngineError, EngineService, JobHandle};
 pub use snapshot::{SnapshotError, SnapshotLoad, SnapshotStats};
 pub use wire::{ErrorFrame, Frame, ReportFrame, RequestFrame, WireError};
@@ -173,8 +174,6 @@ const _: () = {
     assert_send_sync::<PrepareReport>();
     assert_send_sync::<StatePayload>();
     assert_send_sync::<Priority>();
-    assert_send_sync::<SchedulingPolicy>();
-    assert_send_sync::<Aging>();
     assert_send_sync::<AdmissionError>();
     assert_send_sync::<VerificationPolicy>();
     assert_send_sync::<VerificationReport>();

@@ -2,32 +2,27 @@
 //! a priority queue the service front-end pushes jobs into and the
 //! persistent workers pop from.
 //!
-//! Two policies are available:
+//! There is one queue discipline. Jobs pop by caller [`Priority`] first,
+//! then by an estimated job cost (small before large), then by submission
+//! order. Large jobs — e.g. dense random states on the Table-1
+//! `[4,7,4,4,3,5]` register — therefore stop head-of-line-blocking cheap
+//! ones that arrived later.
 //!
-//! * [`SchedulingPolicy::SizeAware`] (the default) orders by caller
-//!   [`Priority`] first, then by an estimated job cost (small before
-//!   large), then by submission order. Large jobs — e.g. dense random
-//!   states on the Table-1 `[4,7,4,4,3,5]` register — therefore stop
-//!   head-of-line-blocking cheap ones that arrived later.
-//! * [`SchedulingPolicy::Fifo`] is strict submission order, the behaviour
-//!   of the original batch queue. Tests use it to fix the pop order of
-//!   bounded admission, and the stress floods run under both policies.
-//!
-//! The choice of policy never changes *what* is computed — every job is
-//! independent and bit-identical to the sequential pipeline — only *when*
-//! it runs, i.e. its queue wait.
+//! The order never changes *what* is computed — every job is independent
+//! and bit-identical to the sequential pipeline — only *when* it runs,
+//! i.e. its queue wait.
 //!
 //! # Wait-time aging (the starvation guard)
 //!
 //! A size-aware queue without aging is not live: under a sustained stream
 //! of smaller (or higher-priority) jobs arriving faster than the pool
 //! serves them, a queued large job would be deferred indefinitely. The
-//! scheduler therefore ages queued jobs ([`Aging::HalveEvery`], on by
-//! default): every full epoch a job has spent in the queue halves its
-//! effective cost, and every [`Aging::PRIORITY_PROMOTION_EPOCHS`] epochs
-//! promote it one [`Priority`] class. A job of estimated cost `c` thus
-//! overtakes fresh minimum-cost competitors of the same priority after at
-//! most `⌈log₂ c⌉ + 1` epochs, and overtakes *any* fresh job after at most
+//! scheduler therefore ages queued jobs: every full [`AGING_EPOCH`] a job
+//! has spent in the queue halves its effective cost, and every
+//! [`PRIORITY_PROMOTION_EPOCHS`] epochs promote it one [`Priority`] class.
+//! A job of estimated cost `c` thus overtakes fresh minimum-cost
+//! competitors of the same priority after at most `⌈log₂ c⌉ + 1` epochs,
+//! and overtakes *any* fresh job after at most
 //! `2 · PRIORITY_PROMOTION_EPOCHS` further epochs — every queued job's
 //! wait is bounded by a multiple of the epoch plus residual service time,
 //! no matter what keeps arriving. Ties (including aged-into-equality ties)
@@ -65,11 +60,24 @@ use crate::cache::CanonicalKey;
 use crate::request::{PrepareReport, PrepareRequest, StatePayload};
 use crate::service::EngineError;
 
+/// The aging epoch: every full epoch of queue wait halves a job's
+/// effective cost. With typical large/small cost ratios of ~10³ (≈10
+/// halvings), a starved job overtakes same-priority traffic after ≈220 ms
+/// and any traffic after ≈1.5 s — slow enough to keep the size-aware p99
+/// win intact, fast enough that nothing starves.
+pub const AGING_EPOCH: Duration = Duration::from_millis(20);
+
+/// Epochs of queue wait per one-class [`Priority`] promotion. Cost decay
+/// exhausts after at most 64 epochs (`u64` cost), so priority promotion
+/// is deliberately the slower, second-stage credit: priority inversion
+/// only happens for jobs the queue has demonstrably failed to serve for
+/// many epochs.
+pub const PRIORITY_PROMOTION_EPOCHS: u64 = 32;
+
 /// Caller-assigned urgency of a [`PrepareRequest`], consulted before the
-/// size estimate by the [`SizeAware`](SchedulingPolicy::SizeAware)
-/// scheduler: all `High` jobs run before any `Normal` job, which run
-/// before any `Low` job — until wait-time [`Aging`] promotes a long-queued
-/// job into the next class.
+/// size estimate by the scheduler: all `High` jobs run before any
+/// `Normal` job, which run before any `Low` job — until wait-time aging
+/// promotes a long-queued job into the next class.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Background work — yields to everything else.
@@ -81,77 +89,11 @@ pub enum Priority {
     High,
 }
 
-/// Queue discipline of an [`EngineService`](crate::EngineService).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SchedulingPolicy {
-    /// Strict submission order (the pre-service batch-queue behaviour).
-    Fifo,
-    /// [`Priority`] first, then estimated cost (small jobs first), then
-    /// submission order — the anti-head-of-line-blocking default. Paired
-    /// with [`Aging`] (on by default) so no job starves.
-    #[default]
-    SizeAware,
-}
-
-/// Wait-time aging of the [`SizeAware`](SchedulingPolicy::SizeAware)
-/// scheduler — the starvation guard (see the [module docs](self)).
-///
-/// Configured through
-/// [`EngineConfig::with_aging`](crate::EngineConfig::with_aging); ignored
-/// under [`SchedulingPolicy::Fifo`], which is starvation-free by
-/// construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Aging {
-    /// No aging: the raw size-aware key, frozen for the job's lifetime.
-    /// A queued large job can then be deferred indefinitely by a sustained
-    /// faster-than-service stream of smaller jobs. It is the no-aging
-    /// control of the starvation tests, and it keeps the pop orders of
-    /// the scheduler's unit tests independent of time.
-    Off,
-    /// Every full epoch of queue wait halves a job's effective cost, and
-    /// every [`Aging::PRIORITY_PROMOTION_EPOCHS`] epochs promote it one
-    /// [`Priority`] class. Smaller epochs bound waits tighter but erode
-    /// the small-job latency win sooner; see the README's tuning guidance.
-    HalveEvery(Duration),
-}
-
-impl Aging {
-    /// The default aging epoch: with typical large/small cost ratios of
-    /// ~10³ (≈10 halvings), a starved job overtakes same-priority traffic
-    /// after ≈220 ms and any traffic after ≈1.5 s — slow enough to keep
-    /// the size-aware p99 win intact, fast enough that nothing starves.
-    pub const DEFAULT_EPOCH: Duration = Duration::from_millis(20);
-
-    /// Epochs of queue wait per one-class [`Priority`] promotion under
-    /// [`Aging::HalveEvery`]. Cost decay exhausts after at most 64 epochs
-    /// (`u64` cost), so priority promotion is deliberately the slower,
-    /// second-stage credit: priority inversion only happens for jobs the
-    /// queue has demonstrably failed to serve for many epochs.
-    pub const PRIORITY_PROMOTION_EPOCHS: u64 = 32;
-
-    /// The epoch duration when aging is active (clamped away from zero —
-    /// a zero epoch would degenerate into pure FIFO-by-age), or `None`.
-    pub(crate) fn epoch(self) -> Option<Duration> {
-        match self {
-            Aging::Off => None,
-            Aging::HalveEvery(epoch) => Some(epoch.max(Duration::from_nanos(1))),
-        }
-    }
-}
-
-impl Default for Aging {
-    /// Aging on, at [`Aging::DEFAULT_EPOCH`].
-    fn default() -> Self {
-        Aging::HalveEvery(Self::DEFAULT_EPOCH)
-    }
-}
-
-/// Estimated pipeline cost of a request, the size key of the
-/// [`SizeAware`](SchedulingPolicy::SizeAware) policy: the dense pipeline
-/// walks the full amplitude vector (`dims.space_size()`), the sparse one
-/// is linear in support size × register width. Clamped to ≥ 1 so a
-/// malformed (e.g. empty-support) payload can never sort *ahead of* every
-/// real job on a zero cost.
+/// Estimated pipeline cost of a request, the scheduler's size key: the
+/// dense pipeline walks the full amplitude vector (`dims.space_size()`),
+/// the sparse one is linear in support size × register width. Clamped to
+/// ≥ 1 so a malformed (e.g. empty-support) payload can never sort *ahead
+/// of* every real job on a zero cost.
 pub(crate) fn estimate_cost(request: &PrepareRequest) -> u64 {
     let cost = match &request.payload {
         StatePayload::Dense(amplitudes) => amplitudes.len() as u64,
@@ -214,13 +156,13 @@ pub(crate) enum PushRefusal {
 }
 
 /// Min-order sort key: (priority reversed, effective cost, sequence
-/// number). Lower pops first. Under aging the first two components are
-/// recomputed from the entry's age at every promotion pass.
+/// number). Lower pops first. The first two components are recomputed
+/// from the entry's age at every promotion pass.
 type SortKey = (u8, u64, u64);
 
 /// The aged sort key of a job `epochs` epochs after its enqueue: cost
 /// halves per epoch, urgency steps one class toward `High` every
-/// [`Aging::PRIORITY_PROMOTION_EPOCHS`]. Monotone: both components are
+/// [`PRIORITY_PROMOTION_EPOCHS`]. Monotone: both components are
 /// non-increasing in `epochs`, so an aged job's key only ever improves,
 /// and the untouched `seq` still breaks ties in submission order.
 fn aged_key(urgency: u8, cost: u64, seq: u64, epochs: u64) -> SortKey {
@@ -229,7 +171,7 @@ fn aged_key(urgency: u8, cost: u64, seq: u64, epochs: u64) -> SortKey {
     } else {
         cost >> epochs
     };
-    let promoted = (epochs / Aging::PRIORITY_PROMOTION_EPOCHS).min(u64::from(u8::MAX)) as u8;
+    let promoted = (epochs / PRIORITY_PROMOTION_EPOCHS).min(u64::from(u8::MAX)) as u8;
     (urgency.saturating_sub(promoted), aged_cost, seq)
 }
 
@@ -293,13 +235,12 @@ struct Shared {
 /// its workers; see the [module documentation](self) for the aging and
 /// admission-fairness design.
 pub(crate) struct Scheduler {
-    policy: SchedulingPolicy,
     /// Admission bound on the number of queued (not yet picked-up) jobs;
     /// `None` admits unboundedly.
     depth: Option<usize>,
-    /// Aging epoch when the policy ages queued jobs, `None` otherwise
-    /// (FIFO, or aging off).
-    epoch: Option<Duration>,
+    /// The aging epoch: [`AGING_EPOCH`] in a service, shorter or longer in
+    /// tests.
+    epoch: Duration,
     /// Epoch 0 of this scheduler's aging clock.
     origin: Instant,
     shared: Mutex<Shared>,
@@ -323,25 +264,20 @@ pub(crate) type PopHook = Box<dyn Fn(&Job) + Send + Sync>;
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("policy", &self.policy)
+            .field("epoch", &self.epoch)
             .field("queued", &self.len())
             .finish()
     }
 }
 
 impl Scheduler {
-    pub(crate) fn new(policy: SchedulingPolicy, depth: Option<usize>, aging: Aging) -> Self {
-        let epoch = match policy {
-            // FIFO is starvation-free by construction; aging is a no-op.
-            SchedulingPolicy::Fifo => None,
-            SchedulingPolicy::SizeAware => aging.epoch(),
-        };
+    pub(crate) fn new(depth: Option<usize>, epoch: Duration) -> Self {
         Scheduler {
-            policy,
             // A zero bound would deadlock blocking submitters forever;
             // clamp to at least one queue slot.
             depth: depth.map(|d| d.max(1)),
-            epoch,
+            // The epoch divides elapsed time; keep it away from zero.
+            epoch: epoch.max(Duration::from_nanos(1)),
             origin: Instant::now(),
             shared: Mutex::new(Shared::default()),
             available: Condvar::new(),
@@ -351,18 +287,14 @@ impl Scheduler {
         }
     }
 
-    /// The current epoch of the aging clock (always 0 when aging is off).
+    /// The current epoch of the aging clock.
     fn epoch_now(&self) -> u64 {
-        match self.epoch {
-            Some(epoch) => (self.origin.elapsed().as_nanos() / epoch.as_nanos()) as u64,
-            None => 0,
-        }
+        (self.origin.elapsed().as_nanos() / self.epoch.as_nanos()) as u64
     }
 
     /// Lazy promotion pass: if the aging clock has ticked since the last
     /// rebuild, recompute every queued entry's key at its current age and
-    /// re-heapify. `O(n)` at most once per epoch; a no-op when aging is
-    /// off.
+    /// re-heapify. `O(n)` at most once per epoch.
     fn maybe_refresh(&self, shared: &mut Shared) {
         let now = self.epoch_now();
         if now == shared.refreshed_epoch {
@@ -391,13 +323,9 @@ impl Scheduler {
     /// the instant its submitter arrived.
     fn enqueue(&self, shared: &mut Shared, job: Job, seq: u64) {
         self.maybe_refresh(shared);
-        let (urgency, cost) = match self.policy {
-            SchedulingPolicy::Fifo => (0, 0),
-            SchedulingPolicy::SizeAware => {
-                // Priority::High = 2 must pop first → reverse into 0.
-                (2 - job.request.priority as u8, estimate_cost(&job.request))
-            }
-        };
+        // Priority::High = 2 must pop first → reverse into 0.
+        let urgency = 2 - job.request.priority as u8;
+        let cost = estimate_cost(&job.request);
         shared.heap.push(Queued {
             key: Reverse(aged_key(urgency, cost, seq, 0)),
             urgency,
@@ -595,16 +523,17 @@ mod tests {
         )
     }
 
-    fn scheduler(policy: SchedulingPolicy, depth: Option<usize>) -> Scheduler {
-        // Aging off keeps the pure-ordering tests time-independent; the
-        // aging tests construct their own scheduler with a tiny epoch.
-        Scheduler::new(policy, depth, Aging::Off)
+    fn scheduler(depth: Option<usize>) -> Scheduler {
+        // An epoch no test reaches keeps the pure-ordering tests
+        // time-independent; the aging tests construct their own scheduler
+        // with a tiny epoch.
+        Scheduler::new(depth, Duration::from_secs(3600))
     }
 
     /// Pushes the given requests in order and returns the space sizes in
     /// pop order.
-    fn pop_order(policy: SchedulingPolicy, requests: Vec<PrepareRequest>) -> Vec<usize> {
-        let scheduler = scheduler(policy, None);
+    fn pop_order(requests: Vec<PrepareRequest>) -> Vec<usize> {
+        let scheduler = scheduler(None);
         let mut receivers = Vec::new();
         for (seq, request) in requests.into_iter().enumerate() {
             let (job, rx) = job(request);
@@ -621,27 +550,21 @@ mod tests {
 
     #[test]
     fn size_aware_pops_small_jobs_first() {
-        let order = pop_order(
-            SchedulingPolicy::SizeAware,
-            vec![
-                dense(&[4, 4, 4], Priority::Normal), // 64
-                dense(&[2, 2], Priority::Normal),    // 4
-                dense(&[3, 3], Priority::Normal),    // 9
-            ],
-        );
+        let order = pop_order(vec![
+            dense(&[4, 4, 4], Priority::Normal), // 64
+            dense(&[2, 2], Priority::Normal),    // 4
+            dense(&[3, 3], Priority::Normal),    // 9
+        ]);
         assert_eq!(order, vec![4, 9, 64]);
     }
 
     #[test]
     fn priority_beats_size() {
-        let order = pop_order(
-            SchedulingPolicy::SizeAware,
-            vec![
-                dense(&[2, 2], Priority::Low),     // 4, but Low
-                dense(&[4, 4, 4], Priority::High), // 64, but High
-                dense(&[3, 3], Priority::Normal),  // 9
-            ],
-        );
+        let order = pop_order(vec![
+            dense(&[2, 2], Priority::Low),     // 4, but Low
+            dense(&[4, 4, 4], Priority::High), // 64, but High
+            dense(&[3, 3], Priority::Normal),  // 9
+        ]);
         assert_eq!(order, vec![64, 9, 4]);
     }
 
@@ -649,7 +572,7 @@ mod tests {
     fn equal_keys_fall_back_to_submission_order() {
         // Three distinct registers with the same space size (cost 6 each):
         // ties must resolve in submission order.
-        let scheduler = scheduler(SchedulingPolicy::SizeAware, None);
+        let scheduler = scheduler(None);
         let shapes: [&[usize]; 3] = [&[2, 3], &[3, 2], &[6]];
         for (seq, shape) in shapes.iter().enumerate() {
             let (j, _rx) = job(dense(shape, Priority::Normal));
@@ -662,19 +585,6 @@ mod tests {
         }
         let want: Vec<Vec<usize>> = shapes.iter().map(|s| s.to_vec()).collect();
         assert_eq!(order, want);
-    }
-
-    #[test]
-    fn fifo_ignores_priority_and_size() {
-        let order = pop_order(
-            SchedulingPolicy::Fifo,
-            vec![
-                dense(&[4, 4, 4], Priority::Low), // 64
-                dense(&[2, 2], Priority::High),   // 4
-                dense(&[3, 3], Priority::Normal), // 9
-            ],
-        );
-        assert_eq!(order, vec![64, 4, 9]);
     }
 
     #[test]
@@ -727,7 +637,7 @@ mod tests {
         // but leaves the class; PRIORITY_PROMOTION_EPOCHS epochs promote.
         assert_eq!(aged_key(1, 4032, 0, 1), (1, 2016, 0));
         assert_eq!(
-            aged_key(2, 4032, 0, Aging::PRIORITY_PROMOTION_EPOCHS).0,
+            aged_key(2, 4032, 0, PRIORITY_PROMOTION_EPOCHS).0,
             1,
             "one full promotion interval lifts Low to Normal"
         );
@@ -738,11 +648,7 @@ mod tests {
         // A 1 ms epoch: the cost-64 job halves to below cost 4 after 5
         // epochs, so after sleeping past the promotion horizon it must pop
         // ahead of fresh small jobs — while ties keep submission order.
-        let scheduler = Scheduler::new(
-            SchedulingPolicy::SizeAware,
-            None,
-            Aging::HalveEvery(Duration::from_millis(1)),
-        );
+        let scheduler = Scheduler::new(None, Duration::from_millis(1));
         let (large, _rx1) = job(dense(&[4, 4, 4], Priority::Normal)); // cost 64
         scheduler.push(large, 0);
         std::thread::sleep(Duration::from_millis(10));
@@ -770,10 +676,10 @@ mod tests {
         // PRIORITY_PROMOTION_EPOCHS epochs of wait lift a Low job over a
         // fresh Normal one (cost decay alone never crosses classes).
         let epoch = Duration::from_millis(1);
-        let scheduler = Scheduler::new(SchedulingPolicy::SizeAware, None, Aging::HalveEvery(epoch));
+        let scheduler = Scheduler::new(None, epoch);
         let (low, _rx1) = job(dense(&[2, 2], Priority::Low));
         scheduler.push(low, 0);
-        std::thread::sleep(epoch * (Aging::PRIORITY_PROMOTION_EPOCHS as u32 + 4));
+        std::thread::sleep(epoch * (PRIORITY_PROMOTION_EPOCHS as u32 + 4));
         let (normal, _rx2) = job(dense(&[2, 2], Priority::Normal));
         scheduler.push(normal, 1);
         scheduler.close();
@@ -787,7 +693,7 @@ mod tests {
 
     #[test]
     fn abort_rejects_queued_jobs_with_shutdown() {
-        let scheduler = scheduler(SchedulingPolicy::SizeAware, None);
+        let scheduler = scheduler(None);
         let (j1, rx1) = job(dense(&[2, 2], Priority::Normal));
         let (j2, rx2) = job(dense(&[3, 3], Priority::Normal));
         scheduler.push(j1, 0);
@@ -804,7 +710,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_refuses_when_full_and_frees_on_pop() {
-        let scheduler = scheduler(SchedulingPolicy::Fifo, Some(2));
+        let scheduler = scheduler(Some(2));
         let (j1, _rx1) = job(dense(&[2, 2], Priority::Normal));
         let (j2, _rx2) = job(dense(&[3, 3], Priority::Normal));
         assert!(scheduler.try_push(j1, 0).is_ok());
@@ -824,7 +730,7 @@ mod tests {
 
     #[test]
     fn blocking_push_parks_until_space_frees() {
-        let scheduler = scheduler(SchedulingPolicy::Fifo, Some(1));
+        let scheduler = scheduler(Some(1));
         let (j1, _rx1) = job(dense(&[2, 2], Priority::Normal));
         scheduler.push(j1, 0);
         std::thread::scope(|s| {
@@ -868,10 +774,10 @@ mod tests {
 
     #[test]
     fn parked_pushers_admit_in_ticket_order_and_try_push_never_steals() {
-        // FIFO policy so pop order == enqueue order: the widths observed
-        // by pop directly expose the admission order of the parked
-        // pushers.
-        let scheduler = scheduler(SchedulingPolicy::Fifo, Some(1));
+        // A one-slot queue holds each admitted job alone until it pops,
+        // so pop order is admission order: the widths observed by pop
+        // directly expose the admission order of the parked pushers.
+        let scheduler = scheduler(Some(1));
         let (filler, _rx) = job(dense(&[5], Priority::Normal));
         scheduler.push(filler, 0);
         std::thread::scope(|s| {
@@ -917,7 +823,7 @@ mod tests {
 
     #[test]
     fn close_wakes_every_parked_ticket_holder() {
-        let scheduler = scheduler(SchedulingPolicy::Fifo, Some(1));
+        let scheduler = scheduler(Some(1));
         let (j1, _rx1) = job(dense(&[2, 2], Priority::Normal));
         scheduler.push(j1, 0);
         std::thread::scope(|s| {
@@ -943,7 +849,7 @@ mod tests {
 
     #[test]
     fn abort_wakes_every_parked_ticket_holder() {
-        let scheduler = scheduler(SchedulingPolicy::SizeAware, Some(1));
+        let scheduler = scheduler(Some(1));
         let (j1, rx1) = job(dense(&[2, 2], Priority::Normal));
         scheduler.push(j1, 0);
         std::thread::scope(|s| {
@@ -970,7 +876,7 @@ mod tests {
 
     #[test]
     fn zero_depth_is_clamped_to_one() {
-        let scheduler = scheduler(SchedulingPolicy::Fifo, Some(0));
+        let scheduler = scheduler(Some(0));
         let (j1, _rx1) = job(dense(&[2, 2], Priority::Normal));
         assert!(scheduler.try_push(j1, 0).is_ok(), "one slot always exists");
         let (j2, _rx2) = job(dense(&[3, 3], Priority::Normal));
@@ -982,7 +888,7 @@ mod tests {
 
     #[test]
     fn try_push_after_close_reports_closed() {
-        let scheduler = scheduler(SchedulingPolicy::Fifo, None);
+        let scheduler = scheduler(None);
         scheduler.close();
         let (j, _rx) = job(dense(&[2, 2], Priority::Normal));
         assert!(matches!(
@@ -993,7 +899,7 @@ mod tests {
 
     #[test]
     fn close_drains_before_exit() {
-        let scheduler = scheduler(SchedulingPolicy::Fifo, None);
+        let scheduler = scheduler(None);
         let (j, _rx) = job(dense(&[2, 2], Priority::Normal));
         scheduler.push(j, 0);
         scheduler.close();

@@ -26,7 +26,7 @@ use mdq_core::{PrepareError, PrepareOptions, Preparer, VerificationReport};
 use crate::cache::{canonical_key, CachedPreparation, CanonicalKey, CircuitCache};
 use crate::engine::{EngineConfig, EngineStats};
 use crate::request::{PrepareReport, PrepareRequest, StatePayload};
-use crate::scheduler::{Job, PushRefusal, Scheduler};
+use crate::scheduler::{Job, PushRefusal, Scheduler, AGING_EPOCH};
 use crate::snapshot::{self, SnapshotError, SnapshotLoad};
 
 /// Unified error type of the service: either the pipeline itself failed,
@@ -274,7 +274,9 @@ impl ServiceShared {
     /// The floor is capped at `1 − tolerance`, with the request's own
     /// tolerance: exact circuits replay a rounding error below 1, so a
     /// floor of exactly 1 would otherwise refuse correct circuits. Floors
-    /// below the cap are compared as given.
+    /// below the cap are compared as given. Only a fidelity `>=` the floor
+    /// passes, so a NaN, fresh or read from a cache entry or snapshot, is
+    /// refused.
     fn check_verification(
         &self,
         options: &PrepareOptions,
@@ -286,7 +288,8 @@ impl ServiceShared {
         let measured = verification
             .expect("verification demanded, so a report was measured or served")
             .fidelity;
-        if measured < threshold.min(1.0 - options.tolerance.value()) {
+        let passes = measured >= threshold.min(1.0 - options.tolerance.value());
+        if !passes {
             self.verification_failures.fetch_add(1, Ordering::Relaxed);
             return Err(EngineError::VerificationFailed {
                 fidelity: measured,
@@ -512,8 +515,9 @@ impl Drop for AbortOnPanic<'_> {
 /// until [`EngineService::shutdown`], [`EngineService::shutdown_now`] or
 /// `Drop`. Submissions stream in through [`EngineService::submit`] /
 /// [`EngineService::submit_batch`] and resolve through per-job
-/// [`JobHandle`]s, scheduled by the configured
-/// [`SchedulingPolicy`](crate::SchedulingPolicy).
+/// [`JobHandle`]s. Cache misses run in the [`scheduler`](crate::scheduler)'s
+/// order: [`Priority`](crate::Priority), then estimated cost, then
+/// submission order, with wait-time aging.
 ///
 /// # Examples
 ///
@@ -545,6 +549,13 @@ impl EngineService {
     /// returns the ready service.
     #[must_use]
     pub fn new(config: EngineConfig) -> Self {
+        Self::spawn(config, AGING_EPOCH)
+    }
+
+    /// [`EngineService::new`] with the scheduler aging at `epoch` in place
+    /// of [`AGING_EPOCH`], so that tests reach the aging bounds in
+    /// milliseconds.
+    fn spawn(config: EngineConfig, epoch: Duration) -> Self {
         let workers = config.workers.max(1);
         let cache = CircuitCache::with_capacity(config.cache_shards, config.cache_capacity);
         // Warm start: replay the snapshot into the cache before any worker
@@ -557,7 +568,7 @@ impl EngineService {
             .as_ref()
             .and_then(|path| path.exists().then(|| snapshot::load_into(&cache, path)));
         let shared = Arc::new(ServiceShared {
-            scheduler: Scheduler::new(config.scheduling, config.queue_depth, config.aging),
+            scheduler: Scheduler::new(config.queue_depth, epoch),
             cache,
             warm_start_load,
             seq: AtomicU64::new(0),
@@ -659,9 +670,10 @@ impl EngineService {
     /// queue slot.
     ///
     /// A miss is enqueued with its key and runs when the scheduler picks
-    /// it, ordered by [`Priority`](crate::Priority) / size under the
-    /// default policy, with wait-time aging ([`EngineConfig::aging`])
-    /// guaranteeing no accepted job starves. On an unbounded queue (the
+    /// it, ordered by [`Priority`](crate::Priority), then size, then
+    /// submission order, with wait-time aging
+    /// ([`AGING_EPOCH`](crate::scheduler::AGING_EPOCH)) guaranteeing no
+    /// accepted job starves. On an unbounded queue (the
     /// default) this never blocks. With [`EngineConfig::with_queue_depth`]
     /// set, a miss that finds the queue full **parks on the admission
     /// ticket queue until space frees** — the backpressure submission
@@ -809,7 +821,7 @@ impl Drop for EngineService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::{PopHook, Priority, SchedulingPolicy};
+    use crate::scheduler::{PopHook, Priority};
     use mdq_core::PrepareOptions;
     use mdq_num::radix::Dims;
     use mdq_states::{ghz, w_state};
@@ -1170,15 +1182,15 @@ mod tests {
     /// each observed through `EngineStats::parked` before the next arrives,
     /// which pins their ticket order. A burst of `try_submit`s is refused
     /// rather than allowed to steal a slot owed to a parked submitter. Once
-    /// the gate opens, the FIFO worker pops the parked submissions in
-    /// ticket order, and each reports its park as `admission_wait`.
+    /// the gate opens, the worker pops the parked submissions in ticket
+    /// order, since a one-slot queue holds each admitted job alone until it
+    /// pops, and each reports its park as `admission_wait`.
     #[test]
     fn parked_submitters_admit_in_ticket_order_with_observable_waits() {
         let service = EngineService::new(
             EngineConfig::default()
                 .with_workers(1)
                 .with_queue_depth(1)
-                .with_scheduling(SchedulingPolicy::Fifo)
                 .without_cache(),
         );
         // Every job has a register of its own, so the registers the worker
@@ -1291,6 +1303,113 @@ mod tests {
         assert_eq!(stats.parked, 0, "no submitter left parked");
         assert_eq!(stats.jobs, 5, "blocker + filler + three parked submissions");
         service.shutdown();
+    }
+
+    /// Size of the small-job flood in the starvation scenarios, and the
+    /// pop-count ceiling asserted for the aged probe, 4× below it. The
+    /// expected count is ~(blockers + 1); the slack absorbs the smalls
+    /// (~300 µs each) that workers complete between the probe's handle
+    /// resolving and the test sampling the `jobs` counter.
+    const FLOOD: u64 = 600;
+    const AGED_POP_BOUND: u64 = 150;
+
+    /// The deterministic starvation scenario: all workers are pinned by
+    /// expensive High-priority blockers, one large `probe_priority` probe
+    /// is queued, then a `FLOOD`-deep small-job flood behind it, on a
+    /// service whose scheduler ages at `epoch`. Returns `stats.jobs` when
+    /// the probe's handle resolved: the jobs that completed up to and
+    /// including the probe. Without aging, the probe's key (cost 810
+    /// against the smalls' 216) lets every small pop first, a count ≥
+    /// `FLOOD`; aged, its cost decays to zero while the blockers pin the
+    /// workers, so it pops with the oldest jobs.
+    ///
+    /// Determinism: the `2 × workers` blockers are dense random jobs on
+    /// `[4,7,4,4,3,5]` (milliseconds each) at `High` priority, so the pool
+    /// stays pinned for the whole (sub-millisecond) submission of the probe
+    /// and the flood. The probe is a basis state on `[9,5,6,3]`: scheduled
+    /// at dense cost 810, served in near-zero time. The smalls are dense
+    /// random jobs on `[6,6,6]`, slow enough (a few hundred µs) that the
+    /// handful completed before the counter is sampled cannot approach
+    /// the bound.
+    fn starvation_probe_pops(workers: usize, epoch: Duration, probe_priority: Priority) -> u64 {
+        let blocker_dims = dims(&[4, 7, 4, 4, 3, 5]);
+        let probe_dims = dims(&[9, 5, 6, 3]);
+        let small_dims = dims(&[6, 6, 6]);
+        let service = EngineService::spawn(
+            EngineConfig::default()
+                .with_workers(workers)
+                .without_cache(),
+            epoch,
+        );
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xA61);
+        let kind = mdq_states::RandomKind::ReImUniform;
+        let blockers: Vec<JobHandle> = (0..2 * workers)
+            .map(|_| {
+                service.submit(
+                    PrepareRequest::dense(
+                        blocker_dims.clone(),
+                        mdq_states::random_state(&blocker_dims, kind, &mut rng),
+                        PrepareOptions::exact(),
+                    )
+                    .with_priority(Priority::High),
+                )
+            })
+            .collect();
+        // A one-hot amplitude vector: scheduled at dense cost 810, served
+        // in near-zero time.
+        let mut basis = vec![mdq_num::Complex::ZERO; probe_dims.space_size()];
+        basis[0] = mdq_num::Complex::ONE;
+        let probe = service.submit(
+            PrepareRequest::dense(probe_dims.clone(), basis, PrepareOptions::exact())
+                .with_priority(probe_priority),
+        );
+        let small = PrepareRequest::dense(
+            small_dims.clone(),
+            mdq_states::random_state(&small_dims, kind, &mut rng),
+            PrepareOptions::exact(),
+        );
+        // The flood handles are deliberately dropped: the scenario only
+        // cares how many of these jobs pop before the probe, which the
+        // service's own `jobs` counter reports.
+        for _ in 0..FLOOD {
+            drop(service.submit(small.clone()));
+        }
+        probe.wait().expect("the probe job completes");
+        let jobs_at_probe = service.stats().jobs;
+        for blocker in blockers {
+            blocker.wait().expect("blocker jobs complete");
+        }
+        // Abort the un-popped remainder of the flood instead of draining it.
+        service.shutdown_now();
+        jobs_at_probe
+    }
+
+    /// Wait-time aging bounds the pops ahead of a large probe queued
+    /// before a small-job flood, at 1, 2 and 4 workers.
+    #[test]
+    fn aging_bounds_the_starved_probe_at_every_worker_count() {
+        for workers in [1usize, 2, 4] {
+            let aged = starvation_probe_pops(workers, Duration::from_micros(250), Priority::Normal);
+            assert!(
+                aged <= AGED_POP_BOUND,
+                "aging on at {workers} workers: the probe must pop within \
+                 {AGED_POP_BOUND} jobs, took {aged}"
+            );
+        }
+    }
+
+    /// Wait-time aging also promotes across priority classes: the
+    /// promotion term (one class per `PRIORITY_PROMOTION_EPOCHS` epochs of
+    /// wait) lifts a `Low` probe past a `Normal` flood, bounded like the
+    /// same-class case.
+    #[test]
+    fn aging_promotes_a_low_priority_probe_past_a_normal_flood() {
+        let aged = starvation_probe_pops(1, Duration::from_micros(100), Priority::Low);
+        assert!(
+            aged <= AGED_POP_BOUND,
+            "promotion must lift the Low probe past the Normal flood within \
+             {AGED_POP_BOUND} jobs, took {aged}"
+        );
     }
 
     #[test]
@@ -1410,6 +1529,98 @@ mod tests {
         let verification = report.verification.expect("report attached");
         assert!((verification.fidelity - 1.0).abs() < 1e-9);
         service.shutdown();
+    }
+
+    /// Finite amplitudes whose squared norm overflows `f64` are refused
+    /// with one typed error by `prepare`, `prepare_sparse` and the
+    /// service, verified or not, before any worker or verification gate;
+    /// a sparse norm is taken after duplicates are summed.
+    #[test]
+    fn a_squared_norm_that_overflows_is_refused_typed() {
+        use mdq_core::{prepare, prepare_sparse};
+        use mdq_dd::BuildError::{NormOverflow, ZeroNorm};
+        let (d, opts) = (dims(&[2, 3]), PrepareOptions::exact());
+        let entry = |digits: &[usize], s: f64| (digits.to_vec(), mdq_num::Complex::real(s));
+        let support = |s: f64| vec![entry(&[0, 0], s), entry(&[1, 2], s)];
+        let dense = |s: f64| {
+            let mut amplitudes = vec![mdq_num::Complex::ZERO; 6];
+            amplitudes[0] = mdq_num::Complex::real(s); // |00⟩
+            amplitudes[5] = amplitudes[0]; // |12⟩
+            amplitudes
+        };
+        let overflow = PrepareError::Build(NormOverflow);
+        let service = EngineService::new(EngineConfig::default().with_workers(1));
+        for s in [1e154, 1e155, 1e308] {
+            assert_eq!(prepare(&d, &dense(s), opts).unwrap_err(), overflow);
+            assert_eq!(prepare_sparse(&d, &support(s), opts).unwrap_err(), overflow);
+            for request in [
+                PrepareRequest::dense(d.clone(), dense(s), opts),
+                PrepareRequest::sparse(d.clone(), support(s), opts),
+            ] {
+                let replay = mdq_core::VerificationPolicy::replay(0.99);
+                let verified = request.clone().with_verification(replay);
+                for request in [verified, request] {
+                    let refused = service.submit(request).wait().unwrap_err();
+                    assert_eq!(refused, EngineError::Prepare(overflow.clone()), "s = {s:e}");
+                }
+            }
+        }
+        let stats = service.stats();
+        assert_eq!((stats.jobs, stats.failures, stats.verified), (0, 12, 0));
+        service.shutdown();
+        // Each square is finite, but two duplicates of 7e153 sum to one that
+        // is not; duplicates that cancel leave a zero norm instead.
+        let twice = |a: f64, b: f64| vec![entry(&[1, 2], a), entry(&[1, 2], b)];
+        let sparse = |entries: Vec<_>| prepare_sparse(&d, &entries, opts).map(|_| ());
+        assert_eq!(sparse(twice(7e153, 7e153)), Err(overflow));
+        let zero = PrepareError::Build(ZeroNorm);
+        assert_eq!(sparse(twice(1e154, -1e154)), Err(zero));
+        // A large but finite norm still prepares.
+        assert!(prepare(&d, &dense(1e150), opts).is_ok() && sparse(support(1e150)).is_ok());
+    }
+
+    /// The verification gate passes only a fidelity `>=` the floor: a NaN
+    /// on a cache entry, or on a snapshot record loaded into the cache,
+    /// fails a verified request instead of being served.
+    #[test]
+    fn a_nan_fidelity_fails_verification_cached_and_from_a_snapshot() {
+        let d = dims(&[3, 6, 2]);
+        let request = PrepareRequest::dense(d.clone(), ghz(&d), PrepareOptions::exact())
+            .with_verification(mdq_core::VerificationPolicy::replay(0.99));
+        let prepared = request.prepare_sequential().unwrap();
+        let (fingerprint, key) = canonical_key(&request).expect("a dense request has a key");
+        let entry = Arc::new(CachedPreparation {
+            circuit: Arc::new(prepared.circuit),
+            report: prepared.report,
+            verification: Some(VerificationReport {
+                fidelity: f64::NAN,
+                replay_nodes: 1,
+                duration: Duration::ZERO,
+            }),
+        });
+        let refused = |service: &EngineService| {
+            let outcome = service.submit(request.clone()).wait();
+            matches!(outcome, Err(EngineError::VerificationFailed { fidelity, threshold })
+                if fidelity.is_nan() && threshold == 0.99)
+        };
+
+        let service = EngineService::new(EngineConfig::default().with_workers(1));
+        service.shared.cache.insert(fingerprint, key, entry);
+        assert!(refused(&service), "a cached NaN fidelity is refused");
+        let stats = service.stats();
+        assert_eq!((stats.cache.hits, stats.verification_failures), (1, 1));
+        assert_eq!(stats.verified, 0);
+        let path = std::env::temp_dir().join(format!("mdq-nan-fid-{}.snap", std::process::id()));
+        snapshot::save(service.cache(), &path).expect("snapshot saves");
+        service.shutdown();
+
+        let warmed = EngineService::new(EngineConfig::default().with_warm_start(&path));
+        let load = warmed.warm_start_load().and_then(|load| load.as_ref().ok());
+        assert_eq!(load.map(|load| (load.loaded, load.skipped)), Some((1, 0)));
+        assert!(refused(&warmed), "a loaded NaN fidelity is refused");
+        assert_eq!(warmed.stats().verified, 0);
+        warmed.shutdown_now();
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -81,8 +81,10 @@ impl ClientConfig {
         self
     }
 
-    /// Read deadline per reply; `None` blocks forever (not recommended
-    /// against a server that can restart).
+    /// Read deadline per reply: it bounds the wait for a reply's first
+    /// byte, and the reply from its first byte to its last (a reply that
+    /// trickles in is cut off within twice the deadline). `None` blocks
+    /// forever (not recommended against a server that can restart).
     #[must_use]
     pub fn with_read_timeout(mut self, timeout: Option<Duration>) -> Self {
         self.read_timeout = timeout;
@@ -195,7 +197,8 @@ impl WireClient {
     ///
     /// [`TransportError::ConnectFailed`] after every attempt fails.
     pub fn connect(addr: ServerAddr, config: ClientConfig) -> Result<Self, TransportError> {
-        let reader = FrameReader::new(config.max_frame_bytes);
+        let reader =
+            FrameReader::new(config.max_frame_bytes).with_frame_deadline(config.read_timeout);
         let mut client = WireClient {
             addr,
             config,

@@ -26,6 +26,7 @@
 //! [`BadEnvelope`](TransportError::BadEnvelope), which no retry fixes.
 
 use std::io::{self, Read, Write};
+use std::time::{Duration, Instant};
 
 use mdq_circuit::serialize::{self, Cursor};
 use mdq_engine::wire::Frame;
@@ -91,6 +92,9 @@ pub fn write_frame<S: Write + ?Sized>(stream: &mut S, frame: &Frame) -> Result<(
 pub struct FrameReader {
     buf: Vec<u8>,
     limit: usize,
+    /// The connection's read deadline, applied to whole frames; see
+    /// [`FrameReader::with_frame_deadline`].
+    deadline: Option<Duration>,
 }
 
 /// What the header of a buffered envelope said, if it has fully arrived.
@@ -113,7 +117,19 @@ impl FrameReader {
         FrameReader {
             buf: Vec::new(),
             limit: max_frame_bytes,
+            deadline: None,
         }
+    }
+
+    /// Bounds each whole frame by the socket's read deadline: once a
+    /// frame's first byte is buffered, [`read_frame`](Self::read_frame)
+    /// fails with [`TransportError::Timeout`] if the frame is not complete
+    /// within `deadline`. Checked after each `read`, so a peer that
+    /// dribbles a frame is cut off within twice the deadline.
+    #[must_use]
+    pub(crate) fn with_frame_deadline(mut self, deadline: Option<Duration>) -> Self {
+        self.deadline = deadline;
+        self
     }
 
     /// Drops any buffered bytes — required after a reconnect, where
@@ -135,8 +151,10 @@ impl FrameReader {
     /// # Errors
     ///
     /// - [`TransportError::ConnectionClosed`] — EOF mid-envelope.
-    /// - [`TransportError::Timeout`] — the socket's read deadline passed
-    ///   (the server's slow-loris guard).
+    /// - [`TransportError::Timeout`] — the socket's read deadline passed,
+    ///   or, on the server's and the client's readers, the frame was not
+    ///   complete within that deadline of its first byte (the server's
+    ///   slow-loris guard).
     /// - [`TransportError::FrameTooLarge`] — declared payload exceeds
     ///   the guard.
     /// - [`TransportError::BadEnvelope`] — header unparseable, or
@@ -148,6 +166,9 @@ impl FrameReader {
         &mut self,
         stream: &mut S,
     ) -> Result<Option<String>, TransportError> {
+        // When this call first found bytes of the frame buffered: left over
+        // from an earlier call, or brought in by its first `read`.
+        let mut first_byte_at = None;
         loop {
             if let Header::Complete {
                 payload_at,
@@ -157,6 +178,14 @@ impl FrameReader {
             {
                 if self.buf.len() >= payload_at + length {
                     return self.take_payload(payload_at, length, sum).map(Some);
+                }
+            }
+            if let Some(deadline) = self.deadline {
+                if !self.buf.is_empty() {
+                    let now = Instant::now();
+                    if now.duration_since(*first_byte_at.get_or_insert(now)) > deadline {
+                        return Err(TransportError::Timeout);
+                    }
                 }
             }
             let mut chunk = [0u8; READ_CHUNK];

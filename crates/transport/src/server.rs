@@ -164,9 +164,11 @@ impl ServerConfig {
         self
     }
 
-    /// Per-connection read deadline — also the slow-loris guard: a peer
-    /// that dribbles a frame slower than this gets closed, not waited
-    /// on.
+    /// Per-connection read deadline — also the slow-loris guard. It
+    /// bounds the wait for each request's first byte, and each request
+    /// from its first byte to its last: a peer that dribbles a frame
+    /// slower than this is closed within twice the deadline, not waited
+    /// on, and counted in [`ServerStats::timeouts`].
     #[must_use]
     pub fn with_read_timeout(mut self, timeout: Duration) -> Self {
         self.read_timeout = timeout;
@@ -515,7 +517,8 @@ fn handle_connection(
     {
         return;
     }
-    let mut reader = FrameReader::new(config.max_frame_bytes);
+    let mut reader =
+        FrameReader::new(config.max_frame_bytes).with_frame_deadline(Some(config.read_timeout));
     loop {
         // Between frames is the drain point: a request already being
         // served always gets its reply; the *next* frame does not start
@@ -593,7 +596,7 @@ const _: () = {
 
 #[cfg(test)]
 mod tests {
-    use std::io::Read;
+    use std::io::{Read, Write};
     use std::time::Instant;
 
     use mdq_core::PrepareOptions;
@@ -659,6 +662,57 @@ mod tests {
             "the server closes a silent connection at its read deadline"
         );
         assert_eq!(server.stats().timeouts, 1);
+        server.shutdown();
+    }
+
+    /// A peer that sends each byte of a request inside the read deadline,
+    /// but not the whole frame, is closed within twice the deadline of its
+    /// first byte and counted as a timeout, which frees the only handler
+    /// for the next client.
+    #[test]
+    fn a_dribbling_peer_is_closed_within_twice_the_read_deadline() {
+        let deadline = Duration::from_millis(200);
+        let backend = Backend::Service(EngineService::new(EngineConfig::default().with_workers(1)));
+        let config = ServerConfig::new()
+            .with_handler_threads(1)
+            .with_read_timeout(deadline);
+        let server =
+            WireServer::bind(&ServerAddr::loopback(), backend, config).expect("bind loopback");
+        let mut dribbler =
+            WireStream::connect(server.local_addr(), Duration::from_secs(2)).expect("connect");
+        let mut watcher = dribbler.try_clone().expect("dup the dribbler");
+        watcher
+            .set_timeouts(Some(Duration::from_secs(10)), None)
+            .expect("client deadline");
+        let mut envelope = Vec::new();
+        write_frame(&mut envelope, &Frame::Request(ghz_frame())).expect("frame");
+        let (closed, started) = (AtomicBool::new(false), Instant::now());
+        thread::scope(|scope| {
+            scope.spawn(|| {
+                // One byte per 150 ms: each read ends inside the deadline.
+                for byte in &envelope {
+                    if closed.load(Ordering::SeqCst) || dribbler.write_all(&[*byte]).is_err() {
+                        break;
+                    }
+                    thread::sleep(Duration::from_millis(150));
+                }
+            });
+            let read = watcher.read(&mut [0u8; 1]);
+            let took = started.elapsed();
+            closed.store(true, Ordering::SeqCst);
+            assert_eq!(read.expect("the server closes, not resets"), 0, "no reply");
+            let bound = 2 * deadline + Duration::from_millis(300);
+            assert!(took < bound, "the dribbler was closed after {took:?}");
+        });
+        assert_eq!(server.stats().timeouts, 1);
+
+        let config = ClientConfig::new().with_read_timeout(Some(Duration::from_secs(10)));
+        let mut client = WireClient::connect(server.local_addr().clone(), config).expect("connect");
+        let reply = client.call(&ghz_frame()).expect("round trip");
+        assert!(
+            reply.report().is_some(),
+            "the freed handler serves the next client"
+        );
         server.shutdown();
     }
 }

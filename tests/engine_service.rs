@@ -332,7 +332,7 @@ fn unit_verification_floor_accepts_exact_replays_just_below_one() {
 /// the entry shares one circuit allocation instead of copying it.
 #[test]
 fn cache_hits_need_no_queue_slot_no_worker_and_no_copy() {
-    use mdq::engine::{EngineError, SchedulingPolicy, VerificationPolicy};
+    use mdq::engine::{EngineError, VerificationPolicy};
     use mdq::states::{random_state, RandomKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -342,12 +342,7 @@ fn cache_hits_need_no_queue_slot_no_worker_and_no_copy() {
     let d = Dims::new(vec![3, 6, 2]).unwrap();
     let cached = PrepareRequest::dense(d.clone(), ghz(&d), PrepareOptions::exact());
     let expected = cached.prepare_sequential().unwrap().circuit;
-    let service = EngineService::new(
-        EngineConfig::default()
-            .with_workers(1)
-            .with_queue_depth(1)
-            .with_scheduling(SchedulingPolicy::Fifo),
-    );
+    let service = EngineService::new(EngineConfig::default().with_workers(1).with_queue_depth(1));
     let first = service
         .submit(cached.clone())
         .wait()

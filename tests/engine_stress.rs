@@ -1,8 +1,7 @@
 //! Deterministic stress/chaos harness for the hardened `EngineService`:
 //! multiple submitter threads flood a bounded service past its queue depth
 //! with a mix of good, malformed, and below-verification-threshold jobs,
-//! and the harness proves — at 1, 2, and 4 workers, under both scheduling
-//! policies — that
+//! and the harness proves — at 1, 2, and 4 workers — that
 //!
 //! * every submission is accounted for **exactly once** (completed,
 //!   rejected by admission control, failed in the pipeline, or failed
@@ -31,8 +30,7 @@ use std::time::{Duration, Instant};
 use mdq::circuit::Circuit;
 use mdq::core::{prepare, PrepareOptions, Preparer, VerificationPolicy};
 use mdq::engine::{
-    Aging, EngineConfig, EngineError, EngineService, JobHandle, PrepareRequest, Priority,
-    SchedulingPolicy, SnapshotError,
+    EngineConfig, EngineError, EngineService, JobHandle, PrepareRequest, Priority, SnapshotError,
 };
 use mdq::num::radix::Dims;
 use mdq::num::Complex;
@@ -187,13 +185,12 @@ const QUEUE_DEPTH: usize = 4;
 /// blocking and the non-blocking submission paths), waits out every
 /// accepted handle, and reconciles the outcome ledger with both the
 /// templates' expectations and the service's own counters.
-fn flood_and_reconcile(workers: usize, policy: SchedulingPolicy) {
+fn flood_and_reconcile(workers: usize) {
     let templates = templates();
     let service = EngineService::new(
         EngineConfig::default()
             .with_workers(workers)
-            .with_queue_depth(QUEUE_DEPTH)
-            .with_scheduling(policy),
+            .with_queue_depth(QUEUE_DEPTH),
     );
     let rejected_total = AtomicU64::new(0);
 
@@ -266,7 +263,7 @@ fn flood_and_reconcile(workers: usize, policy: SchedulingPolicy) {
                     &*report.circuit,
                     template.circuit.as_ref().unwrap(),
                     "template {index}: accepted result bit-identical to sequential \
-                     ({workers} workers, {policy:?})"
+                     ({workers} workers)"
                 );
                 if template.request.options.verification.is_enabled() {
                     assert!(
@@ -304,7 +301,7 @@ fn flood_and_reconcile(workers: usize, policy: SchedulingPolicy) {
     assert_eq!(
         completed + prepare_failed + verification_failed + rejected,
         submitted,
-        "every submission accounted for exactly once ({workers} workers, {policy:?})"
+        "every submission accounted for exactly once ({workers} workers)"
     );
 
     // The service's own counters agree with the independent ledger.
@@ -336,20 +333,17 @@ fn flood_and_reconcile(workers: usize, policy: SchedulingPolicy) {
 
 #[test]
 fn stress_flood_reconciles_at_one_worker() {
-    flood_and_reconcile(1, SchedulingPolicy::SizeAware);
-    flood_and_reconcile(1, SchedulingPolicy::Fifo);
+    flood_and_reconcile(1);
 }
 
 #[test]
 fn stress_flood_reconciles_at_two_workers() {
-    flood_and_reconcile(2, SchedulingPolicy::SizeAware);
-    flood_and_reconcile(2, SchedulingPolicy::Fifo);
+    flood_and_reconcile(2);
 }
 
 #[test]
 fn stress_flood_reconciles_at_four_workers() {
-    flood_and_reconcile(4, SchedulingPolicy::SizeAware);
-    flood_and_reconcile(4, SchedulingPolicy::Fifo);
+    flood_and_reconcile(4);
 }
 
 /// A saturated one-slot queue must actually exercise the rejection path:
@@ -554,152 +548,6 @@ fn dropping_handles_mid_flight_never_deadlocks() {
     assert_eq!(service.stats().rejected, rejected);
     // Shutdown after the chaos is clean (would hang or panic on a leak).
     service.shutdown();
-}
-
-/// Size of the small-job flood in the starvation scenarios. Large enough
-/// that the aged and the un-aged pop counts are separated by an order of
-/// magnitude, small enough that draining it (the aging-off case must
-/// complete every small before the probe) stays fast.
-const FLOOD: u64 = 600;
-
-/// The pop-count ceiling asserted for the probe with aging on. The
-/// expected value is ~(blockers + 1); the generous slack absorbs smalls
-/// that workers complete between the probe's handle resolving and the
-/// observer thread waking to sample the `jobs` counter (each small runs
-/// ~300 µs, so even a multi-millisecond scheduling hiccup costs only tens
-/// of counts). Still 4× below `FLOOD`, so the aged and un-aged regimes
-/// cannot be confused.
-const AGED_POP_BOUND: u64 = 150;
-
-/// The deterministic starvation scenario of this PR's tentpole: all
-/// workers are pinned by expensive High-priority blockers, one large
-/// `probe_priority` probe job is queued, then a `FLOOD`-deep small-job
-/// flood is queued behind it. Returns `stats.jobs` at the instant the
-/// probe's handle resolved — the number of jobs (blockers, smalls, probe)
-/// that completed up to and including the probe.
-///
-/// With aging **off**, the probe's frozen sort key (cost 810 against the
-/// smalls' 216) means every queued small pops first: the count is ≥
-/// `FLOOD` — the starvation the caveat used to document. With aging
-/// **on**, the probe's effective cost decays to zero while the blockers
-/// pin the workers (≥ milliseconds, against a 250 µs epoch), so it pops
-/// with the oldest jobs and the count stays ≤ `AGED_POP_BOUND`.
-///
-/// Determinism: the blockers are `2 × workers` dense random jobs on the
-/// Table-1 register `[4,7,4,4,3,5]` (milliseconds each) at `High`
-/// priority, so the pool stays pinned — first by the running blockers,
-/// then by the queued ones, which outrank every Normal job under both
-/// aging settings — for the entire (sub-millisecond) submission of the
-/// probe and the flood. The probe is a *basis state* on `[9,5,6,3]`:
-/// estimated cost 810 (it is the dense payload length that is scheduled),
-/// but near-zero pipeline time, so the sampled counter is not inflated by
-/// smalls completing while the probe itself runs. The smalls are dense
-/// random jobs on `[6,6,6]` — cost 216, a few hundred µs each — rather
-/// than microsecond toys: the `jobs` counter is sampled *after* the
-/// probe's handle resolves, and the smalls must be slow enough that the
-/// handful a worker completes before the observer thread wakes cannot
-/// approach the bound.
-fn starvation_probe_pops(workers: usize, aging: Aging, probe_priority: Priority) -> u64 {
-    let blocker_dims = dims(&[4, 7, 4, 4, 3, 5]);
-    let probe_dims = dims(&[9, 5, 6, 3]);
-    let small_dims = dims(&[6, 6, 6]);
-    let service = EngineService::new(
-        EngineConfig::default()
-            .with_workers(workers)
-            .with_scheduling(SchedulingPolicy::SizeAware)
-            .with_aging(aging)
-            .without_cache(),
-    );
-    let mut rng = StdRng::seed_from_u64(0xA61);
-    let blockers: Vec<JobHandle> = (0..2 * workers)
-        .map(|_| {
-            service.submit(
-                PrepareRequest::dense(
-                    blocker_dims.clone(),
-                    random_state(&blocker_dims, RandomKind::ReImUniform, &mut rng),
-                    PrepareOptions::exact(),
-                )
-                .with_priority(Priority::High),
-            )
-        })
-        .collect();
-    // A one-hot amplitude vector: scheduled at dense cost 810, served in
-    // near-zero time.
-    let mut basis = vec![Complex::ZERO; probe_dims.space_size()];
-    basis[0] = Complex::ONE;
-    let probe = service.submit(
-        PrepareRequest::dense(probe_dims.clone(), basis, PrepareOptions::exact())
-            .with_priority(probe_priority),
-    );
-    let small = PrepareRequest::dense(
-        small_dims.clone(),
-        random_state(&small_dims, RandomKind::ReImUniform, &mut rng),
-        PrepareOptions::exact(),
-    );
-    // The flood handles are deliberately dropped: the scenario only cares
-    // how many of these jobs pop before the probe, which the service's own
-    // `jobs` counter reports.
-    for _ in 0..FLOOD {
-        drop(service.submit(small.clone()));
-    }
-    probe.wait().expect("the probe job completes");
-    let jobs_at_probe = service.stats().jobs;
-    for blocker in blockers {
-        blocker.wait().expect("blocker jobs complete");
-    }
-    // Abort the un-popped remainder of the flood instead of draining it.
-    service.shutdown_now();
-    jobs_at_probe
-}
-
-/// Tentpole: with aging off a queued large job starves behind the
-/// pre-queued small-job flood (every small pops first — the documented
-/// pre-PR behaviour, kept as the measurable baseline), while wait-time
-/// aging bounds the same probe's pops at 1, 2, and 4 workers.
-#[test]
-fn aging_bounds_the_starved_probe_at_every_worker_count() {
-    for workers in [1usize, 2, 4] {
-        let starved = starvation_probe_pops(workers, Aging::Off, Priority::Normal);
-        assert!(
-            starved >= FLOOD,
-            "aging off at {workers} workers: the probe must starve behind \
-             the whole flood (popped after only {starved} jobs)"
-        );
-        let aged = starvation_probe_pops(
-            workers,
-            Aging::HalveEvery(Duration::from_micros(250)),
-            Priority::Normal,
-        );
-        assert!(
-            aged <= AGED_POP_BOUND,
-            "aging on at {workers} workers: the probe must pop within \
-             {AGED_POP_BOUND} jobs, took {aged}"
-        );
-    }
-}
-
-/// Tentpole: aging also promotes across priority classes — a `Low` probe
-/// under a `Normal` flood starves with aging off, but the promotion term
-/// (one class per `Aging::PRIORITY_PROMOTION_EPOCHS` epochs of wait)
-/// bounds it with aging on, exactly like the same-class case.
-#[test]
-fn aging_promotes_a_low_priority_probe_past_a_normal_flood() {
-    let starved = starvation_probe_pops(1, Aging::Off, Priority::Low);
-    assert!(
-        starved >= FLOOD,
-        "a Low probe under a Normal flood must starve without aging \
-         (popped after only {starved} jobs)"
-    );
-    let aged = starvation_probe_pops(
-        1,
-        Aging::HalveEvery(Duration::from_micros(100)),
-        Priority::Low,
-    );
-    assert!(
-        aged <= AGED_POP_BOUND,
-        "promotion must lift the Low probe past the Normal flood within \
-         {AGED_POP_BOUND} jobs, took {aged}"
-    );
 }
 
 /// Satellite regression: a malformed payload — here an empty-support

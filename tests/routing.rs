@@ -187,19 +187,15 @@ fn ring_placement_on_four_shards_is_pinned() {
 /// Tenant quotas still gate every request, hits included.
 #[test]
 fn routed_cache_hit_resolves_on_a_full_shard_queue() {
-    use mdq::engine::{EngineError, SchedulingPolicy, VerificationPolicy};
+    use mdq::engine::{EngineError, VerificationPolicy};
     use mdq::router::{RouterError, TenantQuota};
     use mdq::states::{random_state, RandomKind};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     let router = Router::new(
-        RouterConfig::default().with_engine_config(
-            EngineConfig::default()
-                .with_workers(1)
-                .with_queue_depth(1)
-                .with_scheduling(SchedulingPolicy::Fifo),
-        ),
+        RouterConfig::default()
+            .with_engine_config(EngineConfig::default().with_workers(1).with_queue_depth(1)),
     );
     router.add_shard(0);
     let (tenant, busy) = (TenantId(3), TenantId(4));
